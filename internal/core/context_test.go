@@ -98,11 +98,16 @@ func TestGroupSingleFlight(t *testing.T) {
 			mu.Unlock()
 		}(i)
 	}
-	// Wait for the leader to be in flight, then release everyone.
-	for {
-		if g.InFlight() == 1 {
-			break
-		}
+	// Wait until every follower has joined the leader's flight, then
+	// release everyone. Opening the gate earlier lets a late follower find
+	// the key already dropped and correctly start a fresh flight.
+	joined := func() bool {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		c := g.calls["k"]
+		return c != nil && c.dups == waiters-1
+	}
+	for !joined() {
 		time.Sleep(time.Millisecond)
 	}
 	close(gate)

@@ -77,6 +77,14 @@ type Network struct {
 
 	stats Stats
 
+	// Water-filling scratch, indexed by link (node*3+kind) or by flow
+	// position in flows; reset, not reallocated, by each recompute.
+	links    []int // links in first-use order
+	capLeft  []float64
+	unfrozen []int // unfrozen member flows per link
+	members  [][]int32
+	frozen   []bool
+
 	// OnFlowDone, if set, observes every non-cancelled flow as it finishes
 	// (tracing hook; netsim itself stays observability-agnostic).
 	OnFlowDone func(f *Flow)
@@ -87,7 +95,12 @@ func New(eng *sim.Engine, nodes int, cfg Config) *Network {
 	if nodes <= 0 || cfg.NICBps <= 0 || cfg.BridgeBps <= 0 {
 		panic("netsim: invalid config")
 	}
-	return &Network{eng: eng, cfg: cfg, nodes: nodes}
+	return &Network{
+		eng: eng, cfg: cfg, nodes: nodes,
+		capLeft:  make([]float64, 3*nodes),
+		unfrozen: make([]int, 3*nodes),
+		members:  make([][]int32, 3*nodes),
+	}
 }
 
 // Stats returns a snapshot of the counters.
@@ -132,97 +145,89 @@ func (n *Network) advance() {
 	}
 }
 
-// link identifies a capacity constraint: NIC up/down per node, bridge per
-// node.
-type link struct {
-	node int
-	kind uint8 // 0 = up, 1 = down, 2 = bridge
-}
-
-// recompute performs max-min water-filling over all links and re-arms the
-// next completion event.
+// recompute re-solves every flow's rate and re-arms the next completion
+// event.
 func (n *Network) recompute() {
 	if n.next != nil {
 		n.next.Cancel()
 		n.next = nil
 	}
-	if len(n.flows) == 0 {
-		return
-	}
+	n.waterFill()
+	n.arm()
+}
 
-	// Build link membership. Links are collected in first-use order so
-	// the water-filling iteration is deterministic.
-	capLeft := make(map[link]float64)
-	members := make(map[link][]*Flow)
-	flowLinks := make(map[*Flow][]link)
-	var links []link
-	for _, f := range n.flows {
-		var ls []link
-		if f.src == f.dst {
-			ls = []link{{f.src, 2}}
-		} else {
-			ls = []link{{f.src, 0}, {f.dst, 1}}
-		}
-		flowLinks[f] = ls
-		for _, l := range ls {
-			if _, ok := capLeft[l]; !ok {
-				if l.kind == 2 {
-					capLeft[l] = n.cfg.BridgeBps
+// waterFill performs max-min water-filling over all links.
+//
+// Links are dense indices node*3+kind (kind 0 = NIC up, 1 = NIC down,
+// 2 = bridge) into scratch slices kept on the Network, so water-filling
+// allocates nothing once the scratch has grown. Equal NIC capacities make
+// ties between links common; they are broken deterministically by scanning
+// links in first-use order (as first touched walking n.flows in insertion
+// order) and keeping the first strictly smallest share.
+func (n *Network) waterFill() {
+	for _, l := range n.links {
+		n.unfrozen[l] = 0
+		n.members[l] = n.members[l][:0]
+	}
+	n.links = n.links[:0]
+
+	// Build link membership in first-use order. Counts were reset above,
+	// so a zero count marks a link not yet seen in this solve.
+	for i, f := range n.flows {
+		ls, k := flowLinks(f)
+		for _, l := range ls[:k] {
+			if n.unfrozen[l] == 0 {
+				if l%3 == 2 {
+					n.capLeft[l] = n.cfg.BridgeBps
 				} else {
-					capLeft[l] = n.cfg.NICBps
+					n.capLeft[l] = n.cfg.NICBps
 				}
-				links = append(links, l)
+				n.links = append(n.links, l)
 			}
-			members[l] = append(members[l], f)
+			n.unfrozen[l]++
+			n.members[l] = append(n.members[l], int32(i))
 		}
 	}
 
-	frozen := make(map[*Flow]bool)
-	unfrozenOn := func(l link) int {
-		c := 0
-		for _, f := range members[l] {
-			if !frozen[f] {
-				c++
-			}
-		}
-		return c
+	if cap(n.frozen) < len(n.flows) {
+		n.frozen = make([]bool, len(n.flows))
 	}
-
-	for len(frozen) < len(n.flows) {
+	frozen := n.frozen[:len(n.flows)]
+	clear(frozen)
+	for left := len(n.flows); left > 0; {
 		// Find the bottleneck link: smallest fair share among links with
 		// unfrozen flows.
-		var bott link
+		bott := -1
 		best := math.Inf(1)
-		found := false
-		for _, l := range links {
-			k := unfrozenOn(l)
-			if k == 0 {
-				continue
-			}
-			share := capLeft[l] / float64(k)
-			if share < best {
-				best, bott, found = share, l, true
-			}
-		}
-		if !found {
-			break
-		}
-		for _, f := range members[bott] {
-			if frozen[f] {
-				continue
-			}
-			frozen[f] = true
-			f.rate = best
-			for _, l := range flowLinks[f] {
-				capLeft[l] -= best
-				if capLeft[l] < 0 {
-					capLeft[l] = 0
+		for _, l := range n.links {
+			if k := n.unfrozen[l]; k > 0 {
+				if share := n.capLeft[l] / float64(k); share < best {
+					best, bott = share, l
 				}
 			}
 		}
+		if bott < 0 {
+			break
+		}
+		for _, i := range n.members[bott] {
+			if frozen[i] {
+				continue
+			}
+			frozen[i] = true
+			left--
+			f := n.flows[i]
+			f.rate = best
+			ls, k := flowLinks(f)
+			for _, l := range ls[:k] {
+				n.unfrozen[l]--
+				n.capLeft[l] = max(n.capLeft[l]-best, 0)
+			}
+		}
 	}
+}
 
-	// Arm completion for the earliest-finishing flow.
+// arm schedules completion for the earliest-finishing flow.
+func (n *Network) arm() {
 	eta := math.Inf(1)
 	for _, f := range n.flows {
 		if f.rate <= 0 {
@@ -246,6 +251,15 @@ func (n *Network) recompute() {
 		d = 1
 	}
 	n.next = n.eng.Schedule(d, n.completeDue)
+}
+
+// flowLinks returns the link indices f crosses: its node's bridge for an
+// intra-node flow, else the source uplink and destination downlink.
+func flowLinks(f *Flow) ([2]int, int) {
+	if f.src == f.dst {
+		return [2]int{f.src*3 + 2}, 1
+	}
+	return [2]int{f.src * 3, f.dst*3 + 1}, 2
 }
 
 // completeDue retires all flows that have drained.
