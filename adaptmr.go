@@ -300,7 +300,7 @@ func WithRequestPool(enabled bool) Option {
 // fired should be discarded (failed evaluations are memoised).
 //
 // Honoured by Run and every NewTuner entry point (Tune, RunPlan,
-// BruteForce, Profile); RunChain/TuneChain/RunFineGrained currently
+// BruteForce, Profile) and RunOnline; RunChain/TuneChain currently
 // ignore it.
 func WithContext(ctx context.Context) Option { return func(o *options) { o.ctx = ctx } }
 
@@ -325,14 +325,28 @@ type EvalCacheStats = core.EvalCacheStats
 // dir; attach it with WithEvalCacheHandle.
 func OpenEvalCache(dir string) (*EvalCache, error) { return core.OpenEvalCache(dir) }
 
+// validate rejects a testbed or job the simulator cannot run, before any
+// cluster is built.
+func validate(cfg ClusterConfig, jobs ...JobConfig) error {
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("adaptmr: %w", err)
+	}
+	for _, j := range jobs {
+		if err := j.Validate(); err != nil {
+			return fmt.Errorf("adaptmr: %w", err)
+		}
+	}
+	return nil
+}
+
 // Run executes one job under a single scheduler pair on a fresh
 // deterministic cluster and returns its result. WithTracer/WithMetrics
 // attach observation, WithEngineProfile/WithRequestPool select the engine
 // allocation strategy; WithParallelism and WithEvalCache are accepted but
 // have no effect on a single direct run.
 func Run(cfg ClusterConfig, job JobConfig, pair Pair, opts ...Option) (JobResult, error) {
-	if err := job.Validate(); err != nil {
-		return JobResult{}, fmt.Errorf("adaptmr: %w", err)
+	if err := validate(cfg, job); err != nil {
+		return JobResult{}, err
 	}
 	o := buildOptions(opts)
 	cfg = o.apply(cfg)
@@ -433,8 +447,8 @@ func NewTuner(cfg ClusterConfig, job JobConfig, opts ...Option) *Tuner {
 	r.Context = o.ctx
 	r.CollectPerf = o.perf
 	t := &Tuner{runner: r, scheme: core.TwoPhases, opts: o}
-	if err := job.Validate(); err != nil {
-		t.initErr = fmt.Errorf("adaptmr: %w", err)
+	if err := validate(cfg, job); err != nil {
+		t.initErr = err
 		return t
 	}
 	switch {
@@ -535,29 +549,6 @@ func (t *Tuner) CacheStats() (EvalCacheStats, bool) {
 // Extensions from the paper's future-work agenda
 // ---------------------------------------------------------------------------
 
-// FineGrained is the reactive per-host controller sketched in the paper's
-// future work: it watches each host's read/write mix and switches the pair
-// on regime changes, with no knowledge of job phase boundaries.
-type FineGrained = core.FineGrained
-
-// DefaultFineGrained returns the controller with the regime mapping the
-// coarse-grained study suggests.
-func DefaultFineGrained() *FineGrained { return core.DefaultFineGrained() }
-
-// RunFineGrained executes a job under the reactive controller, returning
-// the job result and the number of switch commands issued.
-func RunFineGrained(cfg ClusterConfig, job JobConfig, fg *FineGrained, opts ...Option) (JobResult, int, error) {
-	if err := job.Validate(); err != nil {
-		return JobResult{}, 0, fmt.Errorf("adaptmr: %w", err)
-	}
-	o := buildOptions(opts)
-	res, switches, err := core.RunFineGrained(o.apply(cfg), job, fg)
-	if err := o.verify(err); err != nil {
-		return JobResult{}, 0, err
-	}
-	return res, switches, nil
-}
-
 // ChainResult is a chained (Pig-style) multi-job execution.
 type ChainResult = core.ChainResult
 
@@ -568,10 +559,8 @@ type ChainTuning = core.ChainTuning
 // one phase plan per stage; later stages read the data volume the previous
 // stage produced.
 func RunChain(cfg ClusterConfig, stages []JobConfig, plans []Plan, opts ...Option) (ChainResult, error) {
-	for _, s := range stages {
-		if err := s.Validate(); err != nil {
-			return ChainResult{}, fmt.Errorf("adaptmr: %w", err)
-		}
+	if err := validate(cfg, stages...); err != nil {
+		return ChainResult{}, err
 	}
 	o := buildOptions(opts)
 	res, err := core.RunChain(o.apply(cfg), stages, plans)
@@ -585,10 +574,8 @@ func RunChain(cfg ClusterConfig, stages []JobConfig, plans []Plan, opts ...Optio
 // composed chain against the all-default execution. WithParallelism sets
 // each stage's evaluation worker count.
 func TuneChain(cfg ClusterConfig, stages []JobConfig, opts ...Option) (ChainTuning, error) {
-	for _, s := range stages {
-		if err := s.Validate(); err != nil {
-			return ChainTuning{}, fmt.Errorf("adaptmr: %w", err)
-		}
+	if err := validate(cfg, stages...); err != nil {
+		return ChainTuning{}, err
 	}
 	o := buildOptions(opts)
 	res, err := core.TuneChain(o.apply(cfg), stages, o.parallelism)

@@ -198,8 +198,9 @@ func TestValidationFacade(t *testing.T) {
 		adaptmr.UniformPlan(adaptmr.TwoPhases, adaptmr.DefaultPair)); err == nil {
 		t.Fatal("RunPlan accepted a zero-input job")
 	}
-	if _, _, err := adaptmr.RunFineGrained(quickCluster(), bad, nil); err == nil {
-		t.Fatal("RunFineGrained accepted a zero-input job")
+	if _, err := adaptmr.RunOnline(quickCluster(), bad,
+		adaptmr.WithOnlineControl(adaptmr.ReactiveOnlinePolicy())); err == nil {
+		t.Fatal("RunOnline accepted a zero-input job")
 	}
 	good := adaptmr.SortBenchmark(96 << 20).Job
 	if _, err := adaptmr.RunChain(quickCluster(),
@@ -214,6 +215,20 @@ func TestValidationFacade(t *testing.T) {
 	if _, err := adaptmr.Run(quickCluster(), noName, adaptmr.DefaultPair); err == nil {
 		t.Fatal("Run accepted a nameless job")
 	}
+
+	// A testbed whose VM images overrun the host disk used to panic
+	// inside cluster construction.
+	huge := quickCluster()
+	huge.VMsPerHost = 100000000
+	if _, err := adaptmr.Run(huge, good, adaptmr.DefaultPair); err == nil {
+		t.Fatal("Run accepted VM extents beyond the host disk")
+	}
+	if _, err := adaptmr.RunOnline(huge, good); err == nil {
+		t.Fatal("RunOnline accepted VM extents beyond the host disk")
+	}
+	if _, err := adaptmr.NewTuner(huge, good).Tune(); err == nil {
+		t.Fatal("Tune accepted VM extents beyond the host disk")
+	}
 }
 
 // Fleet scenarios are validated the same way: schema typos and
@@ -221,6 +236,10 @@ func TestValidationFacade(t *testing.T) {
 func TestFleetValidationFacade(t *testing.T) {
 	if _, err := adaptmr.ParseFleetScenario([]byte(`{"name":"x","celz":2}`)); err == nil {
 		t.Fatal("ParseFleetScenario accepted an unknown field")
+	}
+	if _, err := adaptmr.ParseFleetScenario([]byte(`{"name":"x","hosts_per_cell":1,"vms_per_host":100000000,` +
+		`"jobs":[{"benchmark":"sort","input_per_vm_mb":16}]}`)); err == nil {
+		t.Fatal("ParseFleetScenario accepted VM extents beyond the host disk")
 	}
 	bad := adaptmr.SmokeFleetScenario()
 	bad.Jobs = nil

@@ -274,12 +274,13 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Extension benches (paper future work implemented in internal/core)
+// Extension benches (paper future work in internal/control and internal/core)
 // ---------------------------------------------------------------------------
 
-// BenchmarkFineGrainedController compares the reactive per-host controller
-// against the static default on sort.
-func BenchmarkFineGrainedController(b *testing.B) {
+// BenchmarkReactiveOnlineController compares the per-host reactive
+// controller (RunOnline with ReactiveOnlinePolicy) against the static
+// default on sort.
+func BenchmarkReactiveOnlineController(b *testing.B) {
 	cfg := adaptmr.DefaultClusterConfig()
 	cfg.Hosts = 2
 	cfg.VMsPerHost = 2
@@ -289,13 +290,14 @@ func BenchmarkFineGrainedController(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		reactive, switches, err := adaptmr.RunFineGrained(cfg, job, nil)
+		reactive, err := adaptmr.RunOnline(cfg, job,
+			adaptmr.WithOnlineControl(adaptmr.ReactiveOnlinePolicy()))
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(static.Duration.Seconds(), "static_s")
-		b.ReportMetric(reactive.Duration.Seconds(), "reactive_s")
-		b.ReportMetric(float64(switches), "switches")
+		b.ReportMetric(reactive.Job.Duration.Seconds(), "reactive_s")
+		b.ReportMetric(float64(reactive.Switches), "switches")
 	}
 }
 

@@ -7,7 +7,7 @@
 //	adaptsim -bench sort -pair cfq,cfq
 //	adaptsim -bench sort -plan "ad|ca"           # explicit two-phase plan
 //	adaptsim -bench wordcount -adaptive          # run the meta-scheduler
-//	adaptsim -bench sort -reactive               # the reactive controller
+//	adaptsim -bench sort -reactive               # per-host reactive controller
 //	adaptsim -bench sort -hosts 6 -vms 4 -input 1024 -adaptive
 //	adaptsim -bench sort -trace trace.json -metrics metrics.csv
 //	adaptsim -fleet scenario.json -check         # multi-job fleet scenario
@@ -61,13 +61,13 @@ func main() {
 	pairArg := flag.String("pair", "cc", "scheduler pair for a single run (code or long form)")
 	planArg := flag.String("plan", "", "explicit phase plan, pair codes joined by '|' (e.g. ad|ca)")
 	adaptive := flag.Bool("adaptive", false, "run the adaptive meta-scheduler instead of one pair")
-	reactive := flag.Bool("reactive", false, "run under the reactive per-host controller")
+	reactive := flag.Bool("reactive", false, "run under the per-host reactive online controller (ReactiveOnlinePolicy; honours the -online-* flags)")
 	online := flag.Bool("online", false, "run under the online adaptive controller (live phase classification, in-run switching)")
 	onlineWindow := flag.Int64("online-window", 0, "online controller sampling window in ms (0 = policy default)")
 	onlineDwell := flag.Int64("online-dwell", 0, "online controller minimum dwell between switches in ms (0 = policy default)")
 	onlineStable := flag.Int("online-stable", 0, "online controller stable windows before a switch (0 = policy default)")
 	onlineBudget := flag.Float64("online-budget", 0, "online controller switch-cost budget as a fraction of dwell (0 = policy default)")
-	onlineJSON := flag.String("online-json", "", "write the full online result JSON here (with -online)")
+	onlineJSON := flag.String("online-json", "", "write the full online result JSON here (with -online or -reactive)")
 	hosts := flag.Int("hosts", 4, "physical nodes")
 	vms := flag.Int("vms", 4, "VMs per node")
 	inputMB := flag.Int64("input", 512, "input data per datanode VM, in MB")
@@ -174,24 +174,15 @@ func main() {
 			fmt.Printf("fleet report written to %s\n", *fleetReport)
 		}
 		if *fleetJSON != "" {
-			f, err := os.Create(*fleetJSON)
-			if err != nil {
-				fail(err)
-			}
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(res); err != nil {
-				f.Close()
-				fail(err)
-			}
-			if err := f.Close(); err != nil {
-				fail(err)
-			}
+			writeJSON(*fleetJSON, res)
 			fmt.Printf("fleet result written to %s\n", *fleetJSON)
 		}
 
-	case *online:
+	case *online, *reactive:
 		pol := adaptmr.DefaultOnlinePolicy()
+		if *reactive {
+			pol = adaptmr.ReactiveOnlinePolicy()
+		}
 		if *onlineWindow > 0 {
 			pol.Window = sim.Duration(*onlineWindow) * sim.Millisecond
 		}
@@ -212,35 +203,18 @@ func main() {
 			wl.Job.Name, res.Job.Duration.Seconds(), res.StartPairCode, res.FinalPairCode,
 			res.Switches, res.Windows, res.SwitchStall.Seconds())
 		for _, d := range res.Decisions {
-			fmt.Printf("  t=%6.2fs %-5s %s -> %s streak %d cost %.3fs %s\n",
-				d.AtS, d.Regime, d.From, d.To, d.Streak, d.CostS, d.Reason)
+			host := ""
+			if d.Host != nil {
+				host = fmt.Sprintf(" host %d", *d.Host)
+			}
+			fmt.Printf("  t=%6.2fs%s %-5s %s -> %s streak %d cost %.3fs %s\n",
+				d.AtS, host, d.Regime, d.From, d.To, d.Streak, d.CostS, d.Reason)
 		}
 		printPhases(res.Job)
 		if *onlineJSON != "" {
-			f, err := os.Create(*onlineJSON)
-			if err != nil {
-				fail(err)
-			}
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(res); err != nil {
-				f.Close()
-				fail(err)
-			}
-			if err := f.Close(); err != nil {
-				fail(err)
-			}
+			writeJSON(*onlineJSON, res)
 			fmt.Printf("online result written to %s\n", *onlineJSON)
 		}
-
-	case *reactive:
-		res, switches, err := adaptmr.RunFineGrained(cfg, wl.Job, nil, opts...)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("reactive controller on %s: %.1fs (%d switch commands)\n",
-			wl.Job.Name, res.Duration.Seconds(), switches)
-		printPhases(res)
 
 	case *adaptive:
 		tuner := adaptmr.NewTuner(cfg, wl.Job, opts...).WithScheme(scheme)
@@ -303,6 +277,23 @@ func main() {
 		fmt.Printf("metrics written to %s\n", metricsOut.Path)
 	}
 	if err := prof.Stop(); err != nil {
+		fail(err)
+	}
+}
+
+// writeJSON writes v to path as indented JSON.
+func writeJSON(path string, v any) {
+	f, err := os.Create(path)
+	if err != nil {
+		fail(err)
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		f.Close()
+		fail(err)
+	}
+	if err := f.Close(); err != nil {
 		fail(err)
 	}
 }

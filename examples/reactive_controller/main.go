@@ -39,12 +39,13 @@ func main() {
 	fmt.Printf("meta-scheduler   %7.1f s  %s (offline: %d profiling/search executions)\n",
 		tuned.Duration.Seconds(), tuned.Plan, tuned.Evaluations)
 
-	reactive, switches, err := adaptmr.RunFineGrained(cfg, job, nil)
+	reactive, err := adaptmr.RunOnline(cfg, job,
+		adaptmr.WithOnlineControl(adaptmr.ReactiveOnlinePolicy()))
 	check(err)
 	fmt.Printf("reactive         %7.1f s  (%d online switch commands, zero offline runs)\n",
-		reactive.Duration.Seconds(), switches)
+		reactive.Job.Duration.Seconds(), reactive.Switches)
 
-	fmt.Println("\nThe reactive controller trades a little of the meta-scheduler's gain")
+	fmt.Println("\nThe reactive controller trades part of the meta-scheduler's gain")
 	fmt.Println("for zero profiling cost and no dependence on job phase boundaries —")
 	fmt.Println("it keeps working when the cluster runs many jobs at once.")
 }

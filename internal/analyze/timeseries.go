@@ -7,6 +7,7 @@ import (
 	"adaptmr/internal/cluster"
 	"adaptmr/internal/disk"
 	"adaptmr/internal/sim"
+	"adaptmr/internal/xen"
 )
 
 // Sampler records fixed-interval timeseries live during a run, driven by
@@ -327,11 +328,17 @@ func (s LiveSample) Window(prev LiveSample, level string) WindowStats {
 // physical disk of the cluster.
 func (s *Sampler) AttachCluster(cl *cluster.Cluster) {
 	for _, h := range cl.Hosts {
-		s.AttachQueue(h.Dom0Queue(), "dom0")
-		s.AttachDisk(h.Disk())
-		for _, d := range h.Domains() {
-			s.AttachQueue(d.Queue(), "vm")
-		}
+		s.AttachHost(h)
+	}
+}
+
+// AttachHost wires the sampler to one host's Dom0 queue, physical disk
+// and guest queues.
+func (s *Sampler) AttachHost(h *xen.Host) {
+	s.AttachQueue(h.Dom0Queue(), "dom0")
+	s.AttachDisk(h.Disk())
+	for _, d := range h.Domains() {
+		s.AttachQueue(d.Queue(), "vm")
 	}
 }
 

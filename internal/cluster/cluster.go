@@ -81,10 +81,28 @@ type Cluster struct {
 	cfg Config
 }
 
-// New builds a cluster.
+// Validate reports a testbed New cannot build: fewer than one host or
+// one VM per host, or VM image extents (laid out back to back, as
+// xen.NewHost places them) that overrun the host disk.
+func (c Config) Validate() error {
+	if c.Hosts < 1 || c.VMsPerHost < 1 {
+		return fmt.Errorf("cluster: need at least one host and one VM per host, got %d×%d", c.Hosts, c.VMsPerHost)
+	}
+	// The last VM's extent starts at (VMsPerHost-1)·(extent+gap); compared
+	// by division so absurd VM counts cannot overflow the product.
+	h := c.Host
+	if stride := h.VMExtentSectors + h.VMExtentGap; h.VMExtentSectors > h.Disk.Sectors ||
+		(stride > 0 && int64(c.VMsPerHost-1) > (h.Disk.Sectors-h.VMExtentSectors)/stride) {
+		return fmt.Errorf("cluster: %d VM extents of %d sectors (gap %d) exceed the %d-sector host disk",
+			c.VMsPerHost, h.VMExtentSectors, h.VMExtentGap, h.Disk.Sectors)
+	}
+	return nil
+}
+
+// New builds a cluster. It panics on a config Validate rejects.
 func New(cfg Config) *Cluster {
-	if cfg.Hosts <= 0 || cfg.VMsPerHost <= 0 {
-		panic("cluster: need at least one host and one VM")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	eng := sim.New(cfg.Seed)
 	perf := cfg.Perf
@@ -168,8 +186,8 @@ func (c *Cluster) Domain(vm int) *xen.Domain {
 	return c.Hosts[c.HostOf(vm)].Domain(vm % c.cfg.VMsPerHost)
 }
 
-// Pair returns the scheduler pair installed on host 0 (pairs are always set
-// cluster-wide).
+// Pair returns the scheduler pair installed on host 0 (hosts differ only
+// under per-host online control).
 func (c *Cluster) Pair() iosched.Pair { return c.Hosts[0].Pair() }
 
 // SetPairAll switches the scheduler pair on every host; onDone fires when

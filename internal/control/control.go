@@ -4,8 +4,10 @@
 // watches the live I/O mix through analyze.Sampler.Live while the job (or
 // a whole multi-job cell) runs, classifies each sampling window into a
 // regime — read-dominated, write-dominated, mixed or idle — and issues
-// cluster-wide elevator switches when the regime durably calls for a
-// different (VMM, VM) pair.
+// elevator switches when the regime durably calls for a different
+// (VMM, VM) pair. Policy.Scope picks what one decision governs: the
+// whole cluster (the default), or each host on its own — the paper's
+// §VII fine-grained control based on the status of each host's VMs' I/O.
 //
 // Switching is never free (Fig 5: a command drains the old elevator and
 // stalls through re-init, and the cost is non-commutative — leaving an
@@ -63,10 +65,26 @@ func (r Regime) String() string {
 	}
 }
 
+// Scope selects what one set of gate state governs.
+type Scope uint8
+
+const (
+	// ScopeCluster classifies the cluster-wide sampler handed to Attach
+	// and switches every host together (SetPairAll).
+	ScopeCluster Scope = iota
+	// ScopeHost gives each host its own window, streak, dwell and
+	// installed pair, classified from a private per-host sampler, and
+	// switches hosts one at a time (Host.SetPair).
+	ScopeHost
+)
+
 // Policy parameterises the controller. The zero value of every field is
 // replaced by its DefaultPolicy counterpart, so callers can override just
 // the knobs they care about.
 type Policy struct {
+	// Scope selects cluster-wide or per-host control (zero: cluster).
+	Scope Scope
+
 	// Level is the sampler level the controller classifies ("dom0": the
 	// physical spindle the paper's contention story is about).
 	Level string
@@ -200,8 +218,11 @@ func (p Policy) classify(w analyze.WindowStats) Regime {
 // (read/write split, sync share, queue depth, seek distance), so a
 // decision stream doubles as the controller's explain log.
 type Decision struct {
-	At     sim.Time            `json:"-"`
-	AtS    float64             `json:"at_s"`
+	At  sim.Time `json:"-"`
+	AtS float64  `json:"at_s"`
+	// Host is the deciding host under ScopeHost; nil (and omitted from
+	// JSON) under ScopeCluster.
+	Host   *int                `json:"host,omitempty"`
 	Level  string              `json:"level"`
 	Regime string              `json:"regime"`
 	From   string              `json:"from"`
@@ -239,19 +260,26 @@ type Controller struct {
 	// other alive forever after the job drains. Set before Attach.
 	Housekeeping int
 
-	cl         *cluster.Cluster
+	stopped bool
+	gates   []*gate
+
+	windows   int
+	switches  int
+	decisions []Decision
+}
+
+// gate is the hysteresis state of one scope unit: the whole cluster
+// under ScopeCluster, one host under ScopeHost.
+type gate struct {
+	host       *int // Decision.Host tag (nil under ScopeCluster)
 	smp        *analyze.Sampler
+	setPair    func(iosched.Pair, func())
 	prev       analyze.LiveSample
 	installed  iosched.Pair
 	streakWant iosched.Pair
 	streak     int
 	lastSwitch sim.Time
 	switching  bool
-	stopped    bool
-
-	windows   int
-	switches  int
-	decisions []Decision
 }
 
 // New builds a controller from the policy (zero fields defaulted). One
@@ -263,31 +291,46 @@ func New(pol Policy) *Controller {
 // Policy returns the normalised policy the controller runs.
 func (c *Controller) Policy() Policy { return c.pol }
 
-// Attach installs the controller on the cluster: it samples smp every
-// Window of simulated time and issues cluster-wide SetPairAll commands
-// through the hysteresis gates. The sampler must already be attached to
-// the cluster (or be attached before traffic starts). The tick re-arms
-// only while the calendar holds other events, so a finished simulation is
-// never kept alive; the returned detach stops the controller early.
+// Attach installs the controller on the cluster. Under ScopeCluster it
+// samples smp every Window of simulated time and issues cluster-wide
+// SetPairAll commands through the hysteresis gates; smp must already be
+// attached to the cluster (or be attached before traffic starts). Under
+// ScopeHost smp is unused: each host is sampled through its own private
+// sampler and switched on its own, all hosts evaluated in host order
+// inside the one tick. The tick re-arms only while the calendar holds
+// other events, so a finished simulation is never kept alive; the
+// returned detach stops the controller early.
 func (c *Controller) Attach(cl *cluster.Cluster, smp *analyze.Sampler) (detach func()) {
-	if c.cl != nil {
+	if c.gates != nil {
 		panic("control: controller attached twice (build one per run)")
 	}
-	c.cl, c.smp = cl, smp
 	if c.pol.Cost == nil {
 		c.pol.Cost = core.FigureFiveCost(cl.Config().Host.SwitchReinit, iosched.DefaultParams())
 	}
-	c.installed = cl.Pair()
-	// The opening dwell budget is available immediately, so the controller
-	// can react to the first stable regime of the run.
-	c.lastSwitch = cl.Eng.Now().Add(-c.pol.MinDwell)
-	c.prev = smp.Live(cl.Eng.Now())
+	if c.pol.Scope == ScopeHost {
+		for i, h := range cl.Hosts {
+			hs := analyze.NewSampler()
+			hs.AttachHost(h)
+			c.gates = append(c.gates, &gate{host: &i, smp: hs, setPair: h.SetPair, installed: h.Pair()})
+		}
+	} else {
+		c.gates = []*gate{{smp: smp, setPair: cl.SetPairAll, installed: cl.Pair()}}
+	}
+	now := cl.Eng.Now()
+	for _, g := range c.gates {
+		g.prev = g.smp.Live(now)
+		// The opening dwell budget is available immediately, so the
+		// controller can react to the first stable regime of the run.
+		g.lastSwitch = now.Add(-c.pol.MinDwell)
+	}
 	var tick func()
 	tick = func() {
 		if c.stopped {
 			return
 		}
-		c.evaluate(cl.Eng.Now())
+		for _, g := range c.gates {
+			c.evaluate(g, cl.Eng.Now())
+		}
 		if !c.stopped && cl.Eng.Pending() > c.Housekeeping {
 			cl.Eng.Schedule(c.pol.Window, tick)
 		}
@@ -296,11 +339,11 @@ func (c *Controller) Attach(cl *cluster.Cluster, smp *analyze.Sampler) (detach f
 	return func() { c.stopped = true }
 }
 
-// evaluate classifies the window that just closed and runs the gates.
-func (c *Controller) evaluate(now sim.Time) {
-	cur := c.smp.Live(now)
-	w := cur.Window(c.prev, c.pol.Level)
-	c.prev = cur
+// evaluate classifies g's window that just closed and runs its gates.
+func (c *Controller) evaluate(g *gate, now sim.Time) {
+	cur := g.smp.Live(now)
+	w := cur.Window(g.prev, c.pol.Level)
+	g.prev = cur
 	c.windows++
 
 	regime := c.pol.classify(w)
@@ -315,49 +358,50 @@ func (c *Controller) evaluate(now sim.Time) {
 	case RegimeWrite:
 		want = c.pol.WritePair
 	default:
-		c.streak = 0
+		g.streak = 0
 		return
 	}
-	if want == c.installed {
-		c.streak = 0
+	if want == g.installed {
+		g.streak = 0
 		return
 	}
-	if want != c.streakWant {
-		c.streak = 0
-		c.streakWant = want
+	if want != g.streakWant {
+		g.streak = 0
+		g.streakWant = want
 	}
-	c.streak++
+	g.streak++
 
-	cost := c.pol.Cost(c.installed, want)
+	cost := c.pol.Cost(g.installed, want)
 	d := Decision{
 		At:     now,
 		AtS:    now.Seconds(),
+		Host:   g.host,
 		Level:  c.pol.Level,
 		Regime: regime.String(),
-		From:   c.installed.Code(),
+		From:   g.installed.Code(),
 		To:     want.Code(),
-		Streak: c.streak,
+		Streak: g.streak,
 		CostS:  cost.Seconds(),
 		Window: w,
 	}
 	switch {
-	case c.switching:
+	case g.switching:
 		d.Reason = ReasonSwitching
-	case c.streak < c.pol.StableWindows:
+	case g.streak < c.pol.StableWindows:
 		d.Reason = ReasonStreak
-	case now.Sub(c.lastSwitch) < c.pol.MinDwell:
+	case now.Sub(g.lastSwitch) < c.pol.MinDwell:
 		d.Reason = ReasonDwell
 	case cost > sim.Duration(c.pol.CostBudget*float64(c.pol.MinDwell)):
 		d.Reason = ReasonCost
 	default:
 		d.Issued = true
 		d.Reason = ReasonSwitch
-		c.lastSwitch = now
+		g.lastSwitch = now
 		c.switches++
-		c.installed = want
-		c.streak = 0
-		c.switching = true
-		c.cl.SetPairAll(want, func() { c.switching = false })
+		g.installed = want
+		g.streak = 0
+		g.switching = true
+		g.setPair(want, func() { g.switching = false })
 	}
 	c.decisions = append(c.decisions, d)
 	if c.OnDecision != nil {
@@ -377,5 +421,6 @@ func (c *Controller) Switches() int { return c.switches }
 func (c *Controller) Windows() int { return c.windows }
 
 // InstalledPair is the pair the controller believes is installed (the
-// last issued target, or the boot pair).
-func (c *Controller) InstalledPair() iosched.Pair { return c.installed }
+// last issued target, or the boot pair) — host 0's under ScopeHost. Call
+// it after Attach.
+func (c *Controller) InstalledPair() iosched.Pair { return c.gates[0].installed }

@@ -259,51 +259,92 @@ func TestAsyncReadsClassifyMixed(t *testing.T) {
 }
 
 // TestControllerOnRealJob runs a small sort under the controller
-// end-to-end: the job completes, decisions are well-formed and issued
-// commands respect the dwell.
+// end-to-end in both scopes: the job completes, decisions are
+// well-formed and host-tagged exactly under host scope, issued commands
+// on one host respect the dwell, and the read map phase triggers
+// ReadPair. A 1000 s dwell therefore allows at most one switch per host,
+// and a detached controller evaluates nothing.
 func TestControllerOnRealJob(t *testing.T) {
-	cfg := cluster.DefaultConfig()
-	cfg.Hosts = 2
-	cfg.VMsPerHost = 2
-	cl := cluster.New(cfg)
-	smp := analyze.NewSampler()
-	smp.AttachCluster(cl)
-	// Smoke-scale phases last a couple of seconds, so the hysteresis is
-	// scaled down from the paper-scale default accordingly.
-	pol := DefaultPolicy()
-	pol.Window = 250 * sim.Millisecond
-	pol.StableWindows = 2
-	pol.MinDwell = sim.Second
-	pol.CostBudget = 0.1 // 100ms budget covers the ~88ms reinit at this scale
-	ctrl := New(pol)
-	ctrl.Attach(cl, smp)
+	// Smoke-scale phases last a couple of seconds, so the cluster-scope
+	// hysteresis is scaled down from the paper-scale default accordingly.
+	smoke := DefaultPolicy()
+	smoke.Window = 250 * sim.Millisecond
+	smoke.StableWindows = 2
+	smoke.MinDwell = sim.Second
+	smoke.CostBudget = 0.1 // 100ms budget covers the ~88ms reinit at this scale
+	// The per-host reactive preset: 2 s windows, 20 s dwell, no streak.
+	reactive := DefaultPolicy()
+	reactive.Scope = ScopeHost
+	reactive.Window = 2 * sim.Second
+	reactive.MinDwell = 20 * sim.Second
+	reactive.StableWindows = 1
+	lazy := reactive
+	lazy.MinDwell = 1000 * sim.Second
 
-	job := workloads.Sort(64 << 20).Job
-	j := mapred.NewJob(cl, job)
-	j.Start(nil)
-	cl.Eng.Run()
+	for _, tc := range []struct {
+		name     string
+		pol      Policy
+		inputMB  int64
+		detached bool
+	}{
+		{"cluster", smoke, 64, false},
+		{"host", reactive, 128, false},
+		{"host-lazy", lazy, 128, false},
+		{"host-detached", reactive, 128, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := cluster.DefaultConfig()
+			cfg.Hosts = 2
+			cfg.VMsPerHost = 2
+			cl := cluster.New(cfg)
+			smp := analyze.NewSampler()
+			smp.AttachCluster(cl)
+			ctrl := New(tc.pol)
+			detach := ctrl.Attach(cl, smp)
+			if tc.detached {
+				detach()
+			}
 
-	if !j.Done() {
-		t.Fatal("job did not complete under the online controller")
-	}
-	if ctrl.Windows() == 0 {
-		t.Fatal("controller never evaluated a window")
-	}
-	var lastIssued sim.Time
-	seen := false
-	for _, d := range ctrl.Decisions() {
-		if d.Regime == "" || d.From == "" || d.To == "" || d.Reason == "" {
-			t.Fatalf("malformed decision %+v", d)
-		}
-		if !d.Issued {
-			continue
-		}
-		if seen && d.At.Sub(lastIssued) < pol.MinDwell {
-			t.Fatalf("issued switches %v apart, dwell is %v", d.At.Sub(lastIssued), pol.MinDwell)
-		}
-		lastIssued, seen = d.At, true
-	}
-	if ctrl.Switches() == 0 {
-		t.Fatal("controller never switched on a sort job (read map phase should trigger ReadPair)")
+			j := mapred.NewJob(cl, workloads.Sort(tc.inputMB<<20).Job)
+			j.Start(nil)
+			cl.Eng.Run()
+
+			if !j.Done() {
+				t.Fatal("job did not complete under the online controller")
+			}
+			if tc.detached {
+				if ctrl.Windows() != 0 || ctrl.Switches() != 0 {
+					t.Fatalf("detached controller evaluated %d windows, issued %d switches",
+						ctrl.Windows(), ctrl.Switches())
+				}
+				return
+			}
+			if ctrl.Windows() == 0 {
+				t.Fatal("controller never evaluated a window")
+			}
+			lastIssued := map[int]sim.Time{}
+			for _, d := range ctrl.Decisions() {
+				if d.Regime == "" || d.From == "" || d.To == "" || d.Reason == "" {
+					t.Fatalf("malformed decision %+v", d)
+				}
+				if (d.Host != nil) != (tc.pol.Scope == ScopeHost) {
+					t.Fatalf("decision host tag %v under scope %d", d.Host, tc.pol.Scope)
+				}
+				if !d.Issued {
+					continue
+				}
+				host := -1
+				if d.Host != nil {
+					host = *d.Host
+				}
+				if last, seen := lastIssued[host]; seen && d.At.Sub(last) < tc.pol.MinDwell {
+					t.Fatalf("issued switches on host %d %v apart, dwell is %v", host, d.At.Sub(last), tc.pol.MinDwell)
+				}
+				lastIssued[host] = d.At
+			}
+			if ctrl.Switches() == 0 {
+				t.Fatal("controller never switched on a sort job (read map phase should trigger ReadPair)")
+			}
+		})
 	}
 }

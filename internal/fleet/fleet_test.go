@@ -261,6 +261,10 @@ func TestScenarioValidation(t *testing.T) {
 		{"capacity without queues", func(s *Scenario) { s.Policy = PolicyCapacity }},
 		{"poisson without rate", func(s *Scenario) { s.Arrivals = ArrivalSpec{Kind: "poisson"} }},
 		{"trace without times", func(s *Scenario) { s.Arrivals = ArrivalSpec{Kind: "trace"} }},
+		{"no VMs", func(s *Scenario) { s.VMsPerHost = 0 }},
+		// Used to pass validation and then panic in xen when the VM image
+		// extents overran the host disk.
+		{"VMs exceed disk", func(s *Scenario) { s.VMsPerHost = 100000000 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -96,10 +96,7 @@ func Run(s Scenario, opt Options) (*Result, error) {
 	base := opt.Obs
 	cells := make([]*cellState, s.Cells)
 	for c := range cells {
-		cc := cluster.DefaultConfig()
-		cc.Hosts = s.HostsPerCell
-		cc.VMsPerHost = s.VMsPerHost
-		cc.Seed = cellSeed(s.Seed, c)
+		cc := s.cellConfig(c)
 		cc.Check = opt.Check
 		st := &cellState{idx: c}
 		if base.Enabled() {

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 
+	"adaptmr/internal/cluster"
 	"adaptmr/internal/iosched"
 	"adaptmr/internal/mapred"
 	"adaptmr/internal/sim"
@@ -197,8 +198,6 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("fleet: scenario name must be non-empty")
 	case s.Cells < 1:
 		return fmt.Errorf("fleet: Cells must be >= 1, got %d", s.Cells)
-	case s.HostsPerCell < 1 || s.VMsPerHost < 1:
-		return fmt.Errorf("fleet: need at least one host per cell and one VM per host, got %d×%d", s.HostsPerCell, s.VMsPerHost)
 	case s.MapSlotsPerVM < 1 || s.ReduceSlotsPerVM < 1:
 		return fmt.Errorf("fleet: per-VM slot capacities must be >= 1, got map=%d reduce=%d", s.MapSlotsPerVM, s.ReduceSlotsPerVM)
 	case s.MaxConcurrentPerCell < 0:
@@ -207,6 +206,9 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("fleet: WindowMS must be >= 1, got %d", s.WindowMS)
 	case len(s.Jobs) == 0:
 		return fmt.Errorf("fleet: scenario has no jobs")
+	}
+	if err := s.cellConfig(0).Validate(); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
 	if _, err := iosched.ParsePair(s.Pair); err != nil {
 		return fmt.Errorf("fleet: %w", err)
@@ -276,6 +278,16 @@ func (s Scenario) Validate() error {
 		}
 	}
 	return nil
+}
+
+// cellConfig is cell c's testbed: HostsPerCell × VMsPerHost with the
+// cell's derived seed.
+func (s Scenario) cellConfig(c int) cluster.Config {
+	cc := cluster.DefaultConfig()
+	cc.Hosts = s.HostsPerCell
+	cc.VMsPerHost = s.VMsPerHost
+	cc.Seed = cellSeed(s.Seed, c)
+	return cc
 }
 
 // TotalHosts returns Cells × HostsPerCell.

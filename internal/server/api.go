@@ -204,6 +204,9 @@ func buildCluster(spec ClusterSpec) (adaptmr.ClusterConfig, error) {
 	if cfg.Hosts*cfg.VMsPerHost > maxDomains {
 		return cfg, badf("cluster asks for %d VMs total, limit is %d", cfg.Hosts*cfg.VMsPerHost, maxDomains)
 	}
+	if err := cfg.Validate(); err != nil {
+		return cfg, badf("%v", err)
+	}
 	return cfg, nil
 }
 

@@ -429,6 +429,10 @@ func TestValidationErrorsAnswer400(t *testing.T) {
 		RunRequest{Cluster: testCluster, Plan: []string{"cc", "ad", "dd"}},
 		RunRequest{Cluster: testCluster, Plan: []string{"cc"}, Phases: 5},
 		RunRequest{Cluster: ClusterSpec{Hosts: 100}, Plan: []string{"cc"}},
+		// Within the size caps, but ten 100 GiB VM images overrun the
+		// host disk; the streamed form used to panic the daemon.
+		RunRequest{Cluster: ClusterSpec{Hosts: 1, VMsPerHost: 10}, Plan: []string{"cc"}},
+		RunRequest{Cluster: ClusterSpec{Hosts: 1, VMsPerHost: 10}, Plan: []string{"cc"}, RunID: "too-many-vms"},
 		RunRequest{Cluster: testCluster, Job: JobSpec{Bench: "teragen"}, Plan: []string{"cc"}},
 		RunRequest{Cluster: testCluster, Plan: []string{"cc"}, TimeoutMS: -1},
 		map[string]any{"plan": []string{"cc"}, "warp_factor": 9},

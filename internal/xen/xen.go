@@ -202,19 +202,6 @@ func (h *Host) SetPair(p iosched.Pair, onDone func()) {
 	}
 }
 
-// Switching reports whether any queue on the host is mid-switch.
-func (h *Host) Switching() bool {
-	if h.dom0.Switching() {
-		return true
-	}
-	for _, d := range h.domains {
-		if d.q.Switching() {
-			return true
-		}
-	}
-	return false
-}
-
 // QuiesceThen runs fn once all queues on the host are idle (used by tests
 // and the dd/sysbench harnesses for clean epochs).
 func (h *Host) Idle() bool {

@@ -139,7 +139,7 @@ func TestSetPairUnderLoadDrains(t *testing.T) {
 	}
 	switched := false
 	h.SetPair(iosched.Pair{VMM: iosched.Deadline, VM: iosched.Noop}, func() { switched = true })
-	if !h.Switching() {
+	if !h.Dom0Queue().Switching() || !h.Domain(0).Queue().Switching() {
 		t.Fatal("host not switching")
 	}
 	eng.Run()

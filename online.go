@@ -48,6 +48,20 @@ func SmokeOnlinePolicy() OnlinePolicy {
 	return p
 }
 
+// ReactiveOnlinePolicy returns the per-host reactive controller the
+// paper's §VII future work sketches: every host classifies its own Dom0
+// I/O mix in 2 s windows and switches only itself, with a 20 s dwell and
+// no streak requirement (one classified window is enough). It needs no
+// knowledge of job phases, so it also fits multi-job cells.
+func ReactiveOnlinePolicy() OnlinePolicy {
+	p := control.DefaultPolicy()
+	p.Scope = control.ScopeHost
+	p.Window = 2 * sim.Second
+	p.MinDwell = 20 * sim.Second
+	p.StableWindows = 1
+	return p
+}
+
 // WithOnlineControl overrides the controller policy for RunOnline (and
 // the per-cell controllers of RunFleetOnline). Omitting the option runs
 // DefaultOnlinePolicy.
@@ -61,7 +75,7 @@ type OnlineResult struct {
 	Job JobResult `json:"job"`
 	// StartPair is the pair installed at boot; FinalPair is what the last
 	// issued switch left installed (equal when the controller never
-	// switched).
+	// switched) — host 0's under host scope.
 	StartPair Pair `json:"-"`
 	FinalPair Pair `json:"-"`
 	// StartPairCode / FinalPairCode are their two-letter codes, for the
@@ -87,6 +101,8 @@ type OnlineResult struct {
 // the live Dom0 I/O mix every policy window, classifies the regime, and
 // switches the (VMM, VM) elevator pair in-run through the hysteresis
 // gates — no profiling runs, no prior knowledge of phase boundaries.
+// The policy's Scope decides cluster-wide or per-host control
+// (ReactiveOnlinePolicy is the per-host preset).
 //
 // Options: WithOnlineControl selects the policy; WithTracer, WithMetrics,
 // WithJourney, WithDecisionLog, WithInvariantChecks, WithPerfStats,
@@ -94,8 +110,8 @@ type OnlineResult struct {
 // Output is deterministic and byte-identical at every WithParallelism
 // setting.
 func RunOnline(cfg ClusterConfig, job JobConfig, opts ...Option) (OnlineResult, error) {
-	if err := job.Validate(); err != nil {
-		return OnlineResult{}, fmt.Errorf("adaptmr: %w", err)
+	if err := validate(cfg, job); err != nil {
+		return OnlineResult{}, err
 	}
 	o := buildOptions(opts)
 	cfg = o.apply(cfg)

@@ -11,11 +11,11 @@ import (
 
 // onlineFingerprint captures every observable byte of an online run:
 // the result JSON (decision log included) and the Chrome trace.
-func onlineFingerprint(t *testing.T, parallelism int) []byte {
+func onlineFingerprint(t *testing.T, pol adaptmr.OnlinePolicy, parallelism int) []byte {
 	t.Helper()
 	tr := adaptmr.NewTracer()
 	res, err := adaptmr.RunOnline(quickCluster(), adaptmr.SortBenchmark(64<<20).Job,
-		adaptmr.WithOnlineControl(adaptmr.SmokeOnlinePolicy()),
+		adaptmr.WithOnlineControl(pol),
 		adaptmr.WithTracer(tr),
 		adaptmr.WithParallelism(parallelism))
 	if err != nil {
@@ -34,13 +34,49 @@ func onlineFingerprint(t *testing.T, parallelism int) []byte {
 // TestRunOnlineByteIdentity: the controller mutates the execution
 // in-run, so the determinism contract matters doubly — serial and
 // parallel runs must produce byte-identical traces, decision logs and
-// results.
+// results, under both cluster and host scope.
 func TestRunOnlineByteIdentity(t *testing.T) {
-	serial := onlineFingerprint(t, 1)
-	for _, par := range []int{4, 8} {
-		if got := onlineFingerprint(t, par); !bytes.Equal(serial, got) {
-			t.Fatalf("parallelism %d output differs from serial (%d vs %d bytes)",
-				par, len(got), len(serial))
+	for _, pol := range []adaptmr.OnlinePolicy{adaptmr.SmokeOnlinePolicy(), adaptmr.ReactiveOnlinePolicy()} {
+		serial := onlineFingerprint(t, pol, 1)
+		for _, par := range []int{4, 8} {
+			if got := onlineFingerprint(t, pol, par); !bytes.Equal(serial, got) {
+				t.Fatalf("scope %d: parallelism %d output differs from serial (%d vs %d bytes)",
+					pol.Scope, par, len(got), len(serial))
+			}
+		}
+	}
+}
+
+// TestReactiveOnlinePinned pins the per-host reactive controller
+// (ReactiveOnlinePolicy, host scope) to exact makespans and switch
+// counts. The values were measured on the dedicated per-host controller
+// this scope replaced, so they also prove the merge changed no result.
+func TestReactiveOnlinePinned(t *testing.T) {
+	for _, tc := range []struct {
+		hosts, vms int
+		wl         adaptmr.Workload
+		makespanNS int64
+		switches   int
+	}{
+		{2, 2, adaptmr.SortBenchmark(128 << 20), 13598150969, 2},
+		{4, 4, adaptmr.SortBenchmark(512 << 20), 175028184784, 16},
+		{4, 4, adaptmr.WordCountBenchmark(512 << 20), 148001717136, 8},
+	} {
+		cfg := adaptmr.DefaultClusterConfig()
+		cfg.Hosts, cfg.VMsPerHost = tc.hosts, tc.vms
+		res, err := adaptmr.RunOnline(cfg, tc.wl.Job,
+			adaptmr.WithOnlineControl(adaptmr.ReactiveOnlinePolicy()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := int64(res.Job.Duration); got != tc.makespanNS || res.Switches != tc.switches {
+			t.Errorf("%d×%d %s: makespan %d ns, %d switches; want %d ns, %d switches",
+				tc.hosts, tc.vms, tc.wl.Job.Name, got, res.Switches, tc.makespanNS, tc.switches)
+		}
+		for _, d := range res.Decisions {
+			if d.Host == nil || *d.Host < 0 || *d.Host >= tc.hosts {
+				t.Fatalf("host-scope decision without a valid host tag: %+v", d)
+			}
 		}
 	}
 }
@@ -144,15 +180,20 @@ func TestRunOnlineProperty(t *testing.T) {
 // TestOnlineVsOfflineVsStatic answers the tentpole acceptance bar on
 // both paper benchmarks: the online controller — no profiling runs, no
 // phase-boundary knowledge — must land within 5% of the paper's offline
-// meta-scheduler (which profiles every pair first) and strictly beat
-// the worst static pair.
+// meta-scheduler (which profiles every pair first), stay within 15% of
+// the static default, and strictly beat the worst static pair. The
+// per-host reactive preset pays switch costs with a 20 s dwell and no
+// streak, so it is held to the static bounds only.
 func TestOnlineVsOfflineVsStatic(t *testing.T) {
 	for _, bench := range []struct {
-		name string
-		wl   adaptmr.Workload
+		name           string
+		wl             adaptmr.Workload
+		pol            adaptmr.OnlinePolicy
+		maxOverOffline float64 // 0: not compared with the offline plan
 	}{
-		{"sort", adaptmr.SortBenchmark(64 << 20)},
-		{"wordcount", adaptmr.WordCountBenchmark(64 << 20)},
+		{"sort", adaptmr.SortBenchmark(64 << 20), adaptmr.SmokeOnlinePolicy(), 1.05},
+		{"wordcount", adaptmr.WordCountBenchmark(64 << 20), adaptmr.SmokeOnlinePolicy(), 1.05},
+		{"reactive-sort", adaptmr.SortBenchmark(128 << 20), adaptmr.ReactiveOnlinePolicy(), 0},
 	} {
 		bench := bench
 		t.Run(bench.name, func(t *testing.T) {
@@ -172,18 +213,24 @@ func TestOnlineVsOfflineVsStatic(t *testing.T) {
 			}
 
 			online, err := adaptmr.RunOnline(cfg, bench.wl.Job,
-				adaptmr.WithOnlineControl(adaptmr.SmokeOnlinePolicy()))
+				adaptmr.WithOnlineControl(bench.pol))
 			if err != nil {
 				t.Fatal(err)
 			}
 			onlineS := online.Job.Duration.Seconds()
 			offlineS := tuned.Duration.Seconds()
 
-			t.Logf("%s: online %.3fs (%d switches), offline %.3fs, best static %.3fs, worst static %.3fs",
-				bench.name, onlineS, online.Switches, offlineS,
+			defaultS := tuned.Default.Duration.Seconds()
+
+			t.Logf("%s: online %.3fs (%d switches), offline %.3fs, static default %.3fs, best static %.3fs, worst static %.3fs",
+				bench.name, onlineS, online.Switches, offlineS, defaultS,
 				tuned.BestSingle.Duration.Seconds(), worstStatic)
-			if onlineS > offlineS*1.05 {
-				t.Fatalf("online %.3fs is more than 5%% behind offline %.3fs", onlineS, offlineS)
+			if bench.maxOverOffline > 0 && onlineS > offlineS*bench.maxOverOffline {
+				t.Fatalf("online %.3fs is more than %.0f%% behind offline %.3fs",
+					onlineS, 100*(bench.maxOverOffline-1), offlineS)
+			}
+			if onlineS > defaultS*1.15 {
+				t.Fatalf("online %.3fs is more than 15%% behind the static default %.3fs", onlineS, defaultS)
 			}
 			if onlineS >= worstStatic {
 				t.Fatalf("online %.3fs does not beat worst static %.3fs", onlineS, worstStatic)

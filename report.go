@@ -54,8 +54,8 @@ type ReportOptions struct {
 // is replaced; the run is deterministic for a fixed cfg/job/pair, so the
 // report is byte-identical across invocations.
 func RunReport(cfg ClusterConfig, job JobConfig, pair Pair, opts ReportOptions) (*Report, error) {
-	if err := job.Validate(); err != nil {
-		return nil, fmt.Errorf("adaptmr: %w", err)
+	if err := validate(cfg, job); err != nil {
+		return nil, err
 	}
 	tracer := NewTracer()
 	metrics := NewMetrics()
@@ -116,8 +116,8 @@ type ExplainReport = analyze.ExplainReport
 // decision is tallied per phase and queue level. Deterministic for a
 // fixed cfg/job/pair, byte-identical across invocations.
 func RunExplain(cfg ClusterConfig, job JobConfig, pair Pair, opts ReportOptions) (*ExplainReport, error) {
-	if err := job.Validate(); err != nil {
-		return nil, fmt.Errorf("adaptmr: %w", err)
+	if err := validate(cfg, job); err != nil {
+		return nil, err
 	}
 	tracer := NewTracer()
 	metrics := NewMetrics()
