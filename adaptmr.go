@@ -127,8 +127,6 @@ type options struct {
 	ctx          context.Context
 	check        *check.Set
 	perf         bool
-	profile      *sim.PerfProfile
-	poolReqs     *bool
 	online       *control.Policy
 }
 
@@ -158,16 +156,6 @@ func (o options) apply(cfg ClusterConfig) ClusterConfig {
 	}
 	if o.check != nil {
 		cfg.Check = o.check
-	}
-	if o.profile != nil || o.poolReqs != nil {
-		p := *sim.DefaultPerfProfile()
-		if o.profile != nil {
-			p = *o.profile
-		}
-		if o.poolReqs != nil {
-			p.PoolRequests = *o.poolReqs
-		}
-		cfg.Perf = &p
 	}
 	return cfg
 }
@@ -266,33 +254,6 @@ func WithPerfStats() Option { return func(o *options) { o.perf = true } }
 // PerfStat is one run's engine self-telemetry (see WithPerfStats).
 type PerfStat = perfstat.Stat
 
-// PerfProfile selects the engine-layer allocation strategy (event and
-// request pooling). Profiles change only where objects live, never what
-// the simulation computes: results are byte-identical across profiles,
-// and the evaluation-cache digest deliberately excludes them.
-type PerfProfile = sim.PerfProfile
-
-// DefaultPerfProfile returns the stock profile: event pooling and request
-// pooling both enabled.
-func DefaultPerfProfile() *PerfProfile { return sim.DefaultPerfProfile() }
-
-// WithEngineProfile overrides the engine allocation profile for the runs
-// this entry point executes. nil (or omitting the option) keeps
-// DefaultPerfProfile. The profile affects throughput and allocation
-// behaviour only; simulated output is byte-identical across profiles.
-func WithEngineProfile(p *PerfProfile) Option {
-	return func(o *options) { o.profile = p }
-}
-
-// WithRequestPool enables or disables block-request pooling, keeping the
-// rest of the engine profile at its current setting (WithEngineProfile if
-// supplied, DefaultPerfProfile otherwise). WithRequestPool(false) is the
-// escape hatch for callers that retain *Request pointers beyond the
-// completion callback and therefore must opt out of recycling.
-func WithRequestPool(enabled bool) Option {
-	return func(o *options) { o.poolReqs = &enabled }
-}
-
 // WithContext bounds every evaluation with ctx: cancellation or deadline
 // expiry is checked before each evaluation and periodically inside the
 // simulation event loop, so a tuning search can be abandoned mid-run.
@@ -341,8 +302,7 @@ func validate(cfg ClusterConfig, jobs ...JobConfig) error {
 
 // Run executes one job under a single scheduler pair on a fresh
 // deterministic cluster and returns its result. WithTracer/WithMetrics
-// attach observation, WithEngineProfile/WithRequestPool select the engine
-// allocation strategy; WithParallelism and WithEvalCache are accepted but
+// attach observation; WithParallelism and WithEvalCache are accepted but
 // have no effect on a single direct run.
 func Run(cfg ClusterConfig, job JobConfig, pair Pair, opts ...Option) (JobResult, error) {
 	if err := validate(cfg, job); err != nil {
@@ -437,8 +397,7 @@ type Tuner struct {
 }
 
 // NewTuner creates a tuner over all 16 pairs with the two-phase scheme.
-// Options: WithTracer, WithMetrics, WithParallelism, WithEvalCache,
-// WithEngineProfile, WithRequestPool.
+// Options: WithTracer, WithMetrics, WithParallelism, WithEvalCache.
 func NewTuner(cfg ClusterConfig, job JobConfig, opts ...Option) *Tuner {
 	o := buildOptions(opts)
 	cfg = o.apply(cfg)

@@ -58,33 +58,15 @@ func TestEngineProfileOptions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	// Every engine profile must produce byte-identical simulated results —
-	// pooling changes where objects live, never what the run computes.
-	for _, tc := range []struct {
-		name string
-		opt  adaptmr.Option
-	}{
-		{"no-request-pool", adaptmr.WithRequestPool(false)},
-		{"explicit-default", adaptmr.WithEngineProfile(&adaptmr.PerfProfile{PoolEvents: true, PoolRequests: true})},
-		{"all-off", adaptmr.WithEngineProfile(&adaptmr.PerfProfile{})},
-	} {
-		res, err := adaptmr.Run(quickCluster(), adaptmr.SortBenchmark(96<<20).Job, adaptmr.DefaultPair, tc.opt)
-		if err != nil {
-			t.Fatalf("%s: Run: %v", tc.name, err)
-		}
-		if res.Duration != base.Duration || res.NumMaps != base.NumMaps || res.MapsDoneAt != base.MapsDoneAt {
-			t.Fatalf("%s: profile changed the simulation: %+v vs %+v", tc.name, res, base)
-		}
-	}
-	// WithRequestPool composes with WithEngineProfile: the pool flag wins.
-	res, err := adaptmr.Run(quickCluster(), adaptmr.SortBenchmark(96<<20).Job, adaptmr.DefaultPair,
-		adaptmr.WithEngineProfile(&adaptmr.PerfProfile{PoolEvents: true, PoolRequests: false}),
-		adaptmr.WithRequestPool(true))
+	// Journey tracing takes the unpooled request path (journeys read
+	// requests after completion); pooling changes where objects live,
+	// never what the run computes.
+	res, err := adaptmr.Run(quickCluster(), adaptmr.SortBenchmark(96<<20).Job, adaptmr.DefaultPair, adaptmr.WithJourney())
 	if err != nil {
-		t.Fatalf("composed: Run: %v", err)
+		t.Fatalf("journey: Run: %v", err)
 	}
-	if res.Duration != base.Duration {
-		t.Fatalf("composed profile changed the simulation: %+v vs %+v", res, base)
+	if res.Duration != base.Duration || res.NumMaps != base.NumMaps || res.MapsDoneAt != base.MapsDoneAt {
+		t.Fatalf("unpooled requests changed the simulation: %+v vs %+v", res, base)
 	}
 }
 

@@ -21,21 +21,22 @@
 //	    decision tallies at both queue levels — followed by the full
 //	    analysis report.
 //
-//	adaptreport gate [sim flags] [-baseline BENCH_baseline.json] [-tol 0.05]
+//	adaptreport gate [sim flags] [-baseline BENCH_baseline.json]
 //	                 [-candidate BENCH_candidate.json] [-html report.html] [-update]
 //	                 [-parallel N] [-sweep-out sweep.json] [-o compare.txt]
 //	                 [-fleet-baseline BENCH_fleet.json] [-fleet-candidate FLEET.json]
+//	                 [-online-baseline BENCH_online.json] [-online-candidate ONLINE.json]
 //	    Run the same instrumented job, condense it to a bench summary and
-//	    compare against the committed baseline. Exits 1 when a gated
-//	    metric regressed beyond the tolerance. -update rewrites the
-//	    baseline instead of comparing. -sweep-out additionally times the
-//	    16-pair profile sweep serial vs -parallel workers, verifies the
-//	    outputs are identical, and writes the speedup record as JSON.
-//	    -fleet-baseline additionally runs the built-in multi-job fleet
-//	    smoke scenario (deterministic, no wall-clock dimensions) and
-//	    gates its bench against that committed baseline.
+//	    compare it exactly against the committed baseline. Exits 1 when
+//	    any simulated metric changed. -update rewrites the baseline
+//	    instead of comparing. -sweep-out additionally times the 16-pair
+//	    profile sweep serial vs -parallel workers, verifies the outputs
+//	    are identical, and writes the speedup record as JSON.
+//	    -fleet-baseline and -online-baseline additionally run the
+//	    built-in multi-job fleet smoke scenario and the online-controller
+//	    run of the same job, and compare their benches the same way.
 //
-//	adaptreport compare [-tol 0.05] [-o compare.txt] base.json candidate.json
+//	adaptreport compare [-o compare.txt] base.json candidate.json
 //	    Compare two previously written bench summaries. -o additionally
 //	    writes the comparison to a file (JSON when the path ends in
 //	    .json, the text table otherwise) — on both gate and compare, and
@@ -44,7 +45,8 @@
 //
 // Sim flags (run and gate): -bench, -pair, -hosts, -vms, -input, -seed,
 // -slowdown. All output is deterministic for a fixed configuration, which
-// is what makes byte-level baseline comparison possible.
+// is what makes exact baseline comparison possible. Host time (wall
+// clock, events/sec, allocations) is measured by perfbench, not here.
 package main
 
 import (
@@ -117,7 +119,6 @@ type simFlags struct {
 	slowdown *float64
 	points   *int
 	check    *bool
-	perf     *bool
 	log      *cliutil.LogFlag
 }
 
@@ -132,9 +133,7 @@ func bindSimFlags(fs *flag.FlagSet) *simFlags {
 		slowdown: fs.Float64("slowdown", 0, "slow host 0's disk by this factor (0 = off; for gate testing)"),
 		points:   fs.Int("timeseries-points", 0, "timeseries sample cap (0 = default 160)"),
 		check:    cliutil.BindCheckFlag(fs),
-		perf: fs.Bool("perf", true,
-			"collect engine self-telemetry (wall clock, events/sec, allocs/event) into the bench summary; disable for byte-identical reports"),
-		log: cliutil.BindLogFlag(fs),
+		log:      cliutil.BindLogFlag(fs),
 	}
 }
 
@@ -166,19 +165,52 @@ func (sf *simFlags) setup() (adaptmr.ClusterConfig, adaptmr.Workload, adaptmr.Pa
 	return cfg, wl, pair, nil
 }
 
+// reportOptions resolves the sim flags into the report labels.
+func (sf *simFlags) reportOptions() adaptmr.ReportOptions {
+	return adaptmr.ReportOptions{
+		Workload:         *sf.bench,
+		InputMB:          *sf.inputMB,
+		TimeseriesPoints: *sf.points,
+		CheckInvariants:  *sf.check,
+	}
+}
+
 // run executes one instrumented job per the sim flags and analyzes it.
 func (sf *simFlags) run() (*adaptmr.Report, error) {
 	cfg, wl, pair, err := sf.setup()
 	if err != nil {
 		return nil, err
 	}
-	return adaptmr.RunReport(cfg, wl.Job, pair, adaptmr.ReportOptions{
-		Workload:         *sf.bench,
-		InputMB:          *sf.inputMB,
-		TimeseriesPoints: *sf.points,
-		CheckInvariants:  *sf.check,
-		CollectPerf:      *sf.perf,
-	})
+	return adaptmr.RunReport(cfg, wl.Job, pair, sf.reportOptions())
+}
+
+// renderer is what run and explain render: a Report or an ExplainReport.
+type renderer interface {
+	WriteMarkdown(io.Writer) error
+	WriteHTML(io.Writer) error
+}
+
+// render writes rep in the given format to path (stdout when empty).
+func render(rep renderer, format, path string) error {
+	var w io.Writer = os.Stdout
+	if path != "" {
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		w = f
+	}
+	switch format {
+	case "md", "markdown":
+		return rep.WriteMarkdown(w)
+	case "html":
+		return rep.WriteHTML(w)
+	case "json":
+		return writeJSON(w, rep)
+	default:
+		return fmt.Errorf("unknown format %q (want md, html or json)", format)
+	}
 }
 
 func cmdRun(args []string) {
@@ -209,27 +241,7 @@ func cmdRun(args []string) {
 	if err != nil {
 		fail(err)
 	}
-
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	switch *format {
-	case "md", "markdown":
-		err = rep.WriteMarkdown(w)
-	case "html":
-		err = rep.WriteHTML(w)
-	case "json":
-		err = writeJSON(w, rep)
-	default:
-		err = fmt.Errorf("unknown format %q (want md, html or json)", *format)
-	}
-	if err != nil {
+	if err := render(rep, *format, *out); err != nil {
 		fail(err)
 	}
 	if *benchOut != "" {
@@ -260,37 +272,11 @@ func cmdExplain(args []string) {
 	if err != nil {
 		fail(err)
 	}
-	rep, err := adaptmr.RunExplain(cfg, wl.Job, pair, adaptmr.ReportOptions{
-		Workload:         *sf.bench,
-		InputMB:          *sf.inputMB,
-		TimeseriesPoints: *sf.points,
-		CheckInvariants:  *sf.check,
-		CollectPerf:      *sf.perf,
-	})
+	rep, err := adaptmr.RunExplain(cfg, wl.Job, pair, sf.reportOptions())
 	if err != nil {
 		fail(err)
 	}
-
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	switch *format {
-	case "md", "markdown":
-		err = rep.WriteMarkdown(w)
-	case "html":
-		err = rep.WriteHTML(w)
-	case "json":
-		err = writeJSON(w, rep)
-	default:
-		err = fmt.Errorf("unknown format %q (want md, html or json)", *format)
-	}
-	if err != nil {
+	if err := render(rep, *format, *out); err != nil {
 		fail(err)
 	}
 	if err := prof.Stop(); err != nil {
@@ -321,11 +307,18 @@ func primeEvalCache(sf *simFlags, dir string) error {
 	return nil
 }
 
+// gatedBench is one workload the gate compares: its committed baseline
+// path and this run's bench.
+type gatedBench struct {
+	label    string
+	baseline string
+	bench    adaptmr.Bench
+}
+
 func cmdGate(args []string) {
 	fs := flag.NewFlagSet("adaptreport gate", flag.ExitOnError)
 	sf := bindSimFlags(fs)
 	baseline := fs.String("baseline", "BENCH_baseline.json", "committed baseline bench JSON")
-	tol := fs.Float64("tol", 0.05, "relative regression tolerance on gated metrics")
 	candidate := fs.String("candidate", "", "write the candidate bench JSON here (for CI artifacts)")
 	htmlOut := fs.String("html", "", "write the candidate's full HTML report here")
 	update := fs.Bool("update", false, "rewrite the baseline from this run instead of comparing")
@@ -347,59 +340,34 @@ func cmdGate(args []string) {
 		fail(err)
 	}
 
-	// Perf numbers are wall-clock, so one cold run in a fresh process
-	// understates the engine: the first evaluation pays one-time costs
-	// (first-touch page faults while the heap grows, lazy runtime init)
-	// and any later one can be preempted on a busy machine. Warm up once,
-	// then measure a few repeats and keep the fastest — the standard
-	// estimator of true cost under scheduling noise. The simulation is
-	// deterministic, so every repeat produces the identical report; only
-	// timing fidelity changes.
 	rep, err := sf.run()
 	if err != nil {
 		fail(err)
-	}
-	if *sf.perf {
-		const perfRepeats = 5
-		for i := 0; i < perfRepeats; i++ {
-			r, err := sf.run()
-			if err != nil {
-				fail(err)
-			}
-			if r.Bench.EventsPerSec > rep.Bench.EventsPerSec {
-				rep = r
-			}
-		}
 	}
 	if *sweepOut != "" {
 		if err := writeSweep(sf, *parallel, *sweepOut); err != nil {
 			fail(err)
 		}
 	}
+	gated := []gatedBench{{"", *baseline, rep.Bench}}
+	if err := writeCandidate(*candidate, rep.Bench); err != nil {
+		fail(err)
+	}
 
-	// The fleet workload: the built-in multi-job smoke scenario, run
-	// without perf collection so its bench is byte-deterministic
-	// (makespan, per-phase sums and event counts gate; no wall-clock
-	// dimensions).
-	var fleetBench adaptmr.Bench
+	// The fleet workload: the built-in multi-job smoke scenario.
 	if *fleetBaseline != "" {
 		res, err := adaptmr.RunFleet(adaptmr.SmokeFleetScenario(), adaptmr.WithParallelism(*parallel))
 		if err != nil {
 			fail(err)
 		}
-		fleetBench = adaptmr.FleetBench(res)
-		if *fleetCandidate != "" {
-			if err := writeJSONFile(*fleetCandidate, fleetBench); err != nil {
-				fail(err)
-			}
+		b := adaptmr.FleetBench(res)
+		gated = append(gated, gatedBench{"fleet", *fleetBaseline, b})
+		if err := writeCandidate(*fleetCandidate, b); err != nil {
+			fail(err)
 		}
 	}
 	// The online workload: the same (cluster, job) as the main bench but
-	// executed under the online adaptive controller at smoke-scale policy,
-	// without perf collection so the bench is byte-deterministic. Switch
-	// count gates near-exactly: a controller behaviour change must come
-	// with an explicit baseline update.
-	var onlineBench adaptmr.Bench
+	// executed under the online adaptive controller at smoke-scale policy.
 	if *onlineBaseline != "" {
 		cfg, wl, _, err := sf.setup()
 		if err != nil {
@@ -411,113 +379,66 @@ func cmdGate(args []string) {
 		if err != nil {
 			fail(err)
 		}
-		onlineBench = adaptmr.OnlineBench(res, *sf.bench, cfg, *sf.inputMB)
-		if *onlineCandidate != "" {
-			if err := writeJSONFile(*onlineCandidate, onlineBench); err != nil {
-				fail(err)
-			}
-		}
-	}
-	if *candidate != "" {
-		if err := writeJSONFile(*candidate, rep.Bench); err != nil {
+		b := adaptmr.OnlineBench(res, *sf.bench, cfg, *sf.inputMB)
+		gated = append(gated, gatedBench{"online", *onlineBaseline, b})
+		if err := writeCandidate(*onlineCandidate, b); err != nil {
 			fail(err)
 		}
 	}
 	if *htmlOut != "" {
-		f, err := os.Create(*htmlOut)
-		if err != nil {
+		if err := render(rep, "html", *htmlOut); err != nil {
 			fail(err)
 		}
-		if err := rep.WriteHTML(f); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-	}
-	if *update {
-		if err := writeJSONFile(*baseline, rep.Bench); err != nil {
-			fail(err)
-		}
-		fmt.Printf("baseline updated: %s (makespan %.3fs)\n", *baseline, rep.Bench.MakespanS)
-		if *fleetBaseline != "" {
-			if err := writeJSONFile(*fleetBaseline, fleetBench); err != nil {
-				fail(err)
-			}
-			fmt.Printf("fleet baseline updated: %s (makespan %.3fs)\n", *fleetBaseline, fleetBench.MakespanS)
-		}
-		if *onlineBaseline != "" {
-			if err := writeJSONFile(*onlineBaseline, onlineBench); err != nil {
-				fail(err)
-			}
-			fmt.Printf("online baseline updated: %s (makespan %.3fs, %d switches)\n",
-				*onlineBaseline, onlineBench.MakespanS, onlineBench.Switches)
-		}
-		if err := prof.Stop(); err != nil {
-			fail(err)
-		}
-		return
 	}
 
-	base, err := readBench(*baseline)
-	if err != nil {
-		fail(err)
-	}
-	cmp, err := adaptmr.CompareBenches(base, rep.Bench, *tol)
-	if err != nil {
-		fail(err)
-	}
-	if err := cmp.WriteText(os.Stdout); err != nil {
-		fail(err)
-	}
-	if *cmpOut != "" {
-		if err := writeComparison(*cmpOut, cmp); err != nil {
-			fail(err)
+	changed := false
+	for i, g := range gated {
+		if *update {
+			if err := writeJSONFile(g.baseline, g.bench); err != nil {
+				fail(err)
+			}
+			fmt.Printf("baseline updated: %s (makespan %.3fs)\n", g.baseline, g.bench.MakespanS)
+			continue
 		}
-	}
-	regressed := cmp.Regressed()
-	if *fleetBaseline != "" {
-		fleetBase, err := readBench(*fleetBaseline)
+		base, err := readBench(g.baseline)
 		if err != nil {
 			fail(err)
 		}
-		fleetCmp, err := adaptmr.CompareBenches(fleetBase, fleetBench, *tol)
+		cmp, err := adaptmr.CompareBenches(base, g.bench)
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("\nfleet workload (%s):\n", fleetBench.Workload)
-		if err := fleetCmp.WriteText(os.Stdout); err != nil {
+		if g.label != "" {
+			fmt.Printf("\n%s workload (%s):\n", g.label, g.bench.Workload)
+		}
+		if err := cmp.WriteText(os.Stdout); err != nil {
 			fail(err)
 		}
-		regressed = regressed || fleetCmp.Regressed()
-	}
-	if *onlineBaseline != "" {
-		onlineBase, err := readBench(*onlineBaseline)
-		if err != nil {
-			fail(err)
+		if i == 0 && *cmpOut != "" {
+			if err := writeComparison(*cmpOut, cmp); err != nil {
+				fail(err)
+			}
 		}
-		onlineCmp, err := adaptmr.CompareBenches(onlineBase, onlineBench, *tol)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("\nonline workload (%s):\n", onlineBench.Workload)
-		if err := onlineCmp.WriteText(os.Stdout); err != nil {
-			fail(err)
-		}
-		regressed = regressed || onlineCmp.Regressed()
+		changed = changed || cmp.Changed()
 	}
 	if err := prof.Stop(); err != nil {
 		fail(err)
 	}
-	if regressed {
+	if changed {
 		os.Exit(1)
 	}
 }
 
+// writeCandidate writes a candidate bench to path, if one was given.
+func writeCandidate(path string, b adaptmr.Bench) error {
+	if path == "" {
+		return nil
+	}
+	return writeJSONFile(path, b)
+}
+
 func cmdCompare(args []string) {
 	fs := flag.NewFlagSet("adaptreport compare", flag.ExitOnError)
-	tol := fs.Float64("tol", 0.05, "relative regression tolerance on gated metrics")
 	cmpOut := fs.String("o", "",
 		"write the comparison here too (JSON when the path ends in .json, the text table otherwise)")
 	lf := cliutil.BindLogFlag(fs)
@@ -534,7 +455,7 @@ func cmdCompare(args []string) {
 	if err != nil {
 		fail(err)
 	}
-	cmp, err := adaptmr.CompareBenches(base, cand, *tol)
+	cmp, err := adaptmr.CompareBenches(base, cand)
 	if err != nil {
 		fail(err)
 	}
@@ -546,7 +467,7 @@ func cmdCompare(args []string) {
 			fail(err)
 		}
 	}
-	if cmp.Regressed() {
+	if cmp.Changed() {
 		os.Exit(1)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"adaptmr/internal/obs"
-	"adaptmr/internal/obs/perfstat"
 )
 
 // Blame layer names, in attribution priority order (see criticalpath.go).
@@ -57,11 +56,6 @@ type Options struct {
 	// TimeseriesPoints caps the number of fixed-interval samples
 	// (default 160). The interval is derived from the makespan.
 	TimeseriesPoints int
-
-	// Perf, when non-nil, embeds engine self-telemetry into the report's
-	// bench summary (schema v2 perf dimensions). Leave nil for
-	// byte-deterministic reports: wall-clock values differ across runs.
-	Perf *perfstat.Stat
 }
 
 // Report is the full analysis artefact. It marshals to deterministic JSON

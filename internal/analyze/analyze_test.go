@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"adaptmr/internal/obs"
@@ -207,188 +208,69 @@ func TestCompareGating(t *testing.T) {
 		MakespanS: 10,
 		PhaseS:    map[string]float64{"map": 4, "shuffle": 3, "reduce": 3},
 		BlameS:    map[string]float64{"disk": 6, "cpu": 4},
+		Dom0MB:    1044.5,
+		SimEvents: 12620,
 	}
 
 	// Identical run passes.
-	cmp, err := Compare(base, base, 0.05)
+	cmp, err := Compare(base, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmp.Regressed() {
-		t.Fatalf("identical benches regressed: %+v", cmp.Deltas)
+	if cmp.Changed() {
+		t.Fatalf("identical benches changed: %+v", cmp.Deltas)
 	}
 
-	// 20% slower makespan fails a 5% gate.
-	cand := base
-	cand.MakespanS = 12
-	cmp, err = Compare(base, cand, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cmp.Regressed() {
-		t.Fatal("20% slower makespan should regress at 5% tolerance")
-	}
-
-	// ...but passes a 30% gate.
-	cmp, err = Compare(base, cand, 0.30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.Regressed() {
-		t.Fatal("20% slower makespan should pass at 30% tolerance")
-	}
-
-	// Improvements are flagged, never gated.
-	cand = base
-	cand.MakespanS = 8
-	cmp, _ = Compare(base, cand, 0.05)
-	improved := false
-	for _, d := range cmp.Deltas {
-		if d.Metric == "makespan_s" {
-			improved = d.Improved
+	// Every difference is a change: slower, faster, sub-millisecond, in
+	// blame or only in the event count.
+	changedMetric := func(name, metric string, cand Bench) {
+		t.Helper()
+		cmp, err := Compare(base, cand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cmp.Changed() {
+			t.Fatalf("%s: comparison passed", name)
+		}
+		for _, d := range cmp.Deltas {
+			if d.Changed != (d.Metric == metric) {
+				t.Fatalf("%s: %s changed=%v", name, d.Metric, d.Changed)
+			}
+		}
+		var text strings.Builder
+		if err := cmp.WriteText(&text); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(text.String(), "CHANGED") || !strings.Contains(text.String(), "FAIL") ||
+			!strings.Contains(text.String(), "-update") {
+			t.Fatalf("%s: comparison text missing verdicts:\n%s", name, text.String())
 		}
 	}
-	if cmp.Regressed() || !improved {
-		t.Fatal("faster candidate should be flagged improved, not regressed")
-	}
-
-	// Tiny absolute changes under the floor never trip.
+	cand := base
+	cand.MakespanS = 12
+	changedMetric("slower", "makespan_s", cand)
+	cand.MakespanS = 8
+	changedMetric("faster", "makespan_s", cand)
 	cand = base
 	cand.SwitchStallS = base.SwitchStallS + 0.004
-	cmp, _ = Compare(base, cand, 0)
-	if cmp.Regressed() {
-		t.Fatal("sub-floor absolute change should not regress")
-	}
-
-	// Blame shifts are informational only.
+	changedMetric("sub-millisecond", "switch_stall_s", cand)
 	cand = base
-	cand.BlameS = map[string]float64{"disk": 9, "cpu": 1}
-	cmp, _ = Compare(base, cand, 0.05)
-	if cmp.Regressed() {
-		t.Fatal("blame changes must not gate")
-	}
+	cand.BlameS = map[string]float64{"disk": 9, "cpu": 4}
+	changedMetric("blame", "blame.disk_s", cand)
+	cand = base
+	cand.SimEvents = 12380
+	changedMetric("sim_events", "sim_events", cand)
 
 	// Config mismatches error instead of comparing.
 	cand = base
 	cand.Hosts = 4
-	if _, err := Compare(base, cand, 0.05); err == nil {
+	if _, err := Compare(base, cand); err == nil {
 		t.Fatal("host-count mismatch should error")
 	}
 	cand = base
 	cand.Seed = 2
-	if _, err := Compare(base, cand, 0.05); err == nil {
+	if _, err := Compare(base, cand); err == nil {
 		t.Fatal("seed mismatch should error")
-	}
-}
-
-func TestComparePerfGating(t *testing.T) {
-	base := Bench{
-		Schema: benchSchema, Workload: "sort", Hosts: 2, VMs: 2, InputMB: 64, Seed: 1, Pair: "cc",
-		MakespanS:      10,
-		WallS:          0.8,
-		EventsPerSec:   900_000,
-		AllocsPerEvent: 1.2,
-		BytesPerEvent:  640,
-		GCCycles:       3,
-		GCPauseMS:      0.4,
-	}
-	regressedMetric := func(c Comparison, metric string) bool {
-		for _, d := range c.Deltas {
-			if d.Metric == metric {
-				return d.Regressed
-			}
-		}
-		t.Fatalf("metric %s missing from comparison", metric)
-		return false
-	}
-
-	// Identical perf passes.
-	cmp, err := Compare(base, base, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.Regressed() {
-		t.Fatalf("identical perf benches regressed: %+v", cmp.Deltas)
-	}
-
-	// An injected allocation regression (each event chain picked up a
-	// couple of extra allocs) trips the allocs/event gate.
-	cand := base
-	cand.AllocsPerEvent = base.AllocsPerEvent + 2
-	cmp, _ = Compare(base, cand, 0.05)
-	if !regressedMetric(cmp, "allocs_per_event") {
-		t.Fatal("+2 allocs/event should trip the alloc gate")
-	}
-
-	// A sub-floor alloc wiggle (< allocAbsFloor) passes even at 0 relative
-	// tolerance.
-	cand = base
-	cand.AllocsPerEvent = base.AllocsPerEvent + 0.3
-	cmp, _ = Compare(base, cand, 0)
-	if regressedMetric(cmp, "allocs_per_event") {
-		t.Fatal("sub-floor alloc change should not trip the gate")
-	}
-
-	// The absolute ceiling trips on the candidate alone, even at a
-	// tolerance wide enough to silence the relative gate…
-	cand = base
-	cand.AllocsPerEvent = 3.5
-	cmp, _ = Compare(base, cand, 10)
-	if regressedMetric(cmp, "allocs_per_event") {
-		t.Fatal("relative alloc gate should be quiet at tol=10")
-	}
-	if !regressedMetric(cmp, "allocs_per_event_ceiling") {
-		t.Fatal("3.5 allocs/event should breach the 3.0 ceiling")
-	}
-	// …and stays quiet just under the budget.
-	cand.AllocsPerEvent = 2.8
-	cmp, _ = Compare(base, cand, 10)
-	if regressedMetric(cmp, "allocs_per_event_ceiling") {
-		t.Fatal("2.8 allocs/event is within the 3.0 ceiling")
-	}
-
-	// events/sec: a mild slowdown (CI runner noise) passes...
-	cand = base
-	cand.EventsPerSec = base.EventsPerSec * 0.6
-	cmp, _ = Compare(base, cand, 0.05)
-	if regressedMetric(cmp, "events_per_sec") {
-		t.Fatal("40% throughput dip should pass the wide gate")
-	}
-	// ...but a collapse trips it, regardless of the caller's tolerance.
-	cand = base
-	cand.EventsPerSec = base.EventsPerSec * 0.1
-	cmp, _ = Compare(base, cand, 0.05)
-	if !regressedMetric(cmp, "events_per_sec") {
-		t.Fatal("10x throughput collapse should trip the gate")
-	}
-	// Faster is improvement, never regression, for a higher-is-better gate.
-	cand = base
-	cand.EventsPerSec = base.EventsPerSec * 10
-	cmp, _ = Compare(base, cand, 0.05)
-	if regressedMetric(cmp, "events_per_sec") {
-		t.Fatal("faster candidate flagged as throughput regression")
-	}
-
-	// Benches without perf data (or mixed) degrade to informational: the
-	// zero→nonzero jump must not gate.
-	noPerf := base
-	noPerf.WallS, noPerf.EventsPerSec, noPerf.AllocsPerEvent = 0, 0, 0
-	noPerf.BytesPerEvent, noPerf.GCCycles, noPerf.GCPauseMS = 0, 0, 0
-	cmp, _ = Compare(noPerf, base, 0.05)
-	if cmp.Regressed() {
-		t.Fatalf("perf-less baseline vs perf candidate must not gate: %+v", cmp.Deltas)
-	}
-	cmp, _ = Compare(base, noPerf, 0.05)
-	if cmp.Regressed() {
-		t.Fatalf("perf baseline vs perf-less candidate must not gate: %+v", cmp.Deltas)
-	}
-
-	// Wall time and GC are informational even when wildly different.
-	cand = base
-	cand.WallS, cand.GCCycles, cand.GCPauseMS = 100, 50, 80
-	cmp, _ = Compare(base, cand, 0.05)
-	if cmp.Regressed() {
-		t.Fatal("wall/GC changes must not gate")
 	}
 }
 

@@ -12,8 +12,7 @@ import (
 // The workload label is namespaced ("fleet:<scenario>") so a fleet bench
 // can never be compared against a single-job baseline by accident; phase
 // times are the per-phase sums across every job (the fleet phase-mix
-// fingerprint). Perf telemetry carries over only when the run collected
-// it.
+// fingerprint).
 func BenchFromFleet(res *fleet.Result) Bench {
 	b := Bench{
 		Schema:   benchSchema,
@@ -32,8 +31,6 @@ func BenchFromFleet(res *fleet.Result) Bench {
 	for name, s := range res.Agg.PhaseS {
 		b.PhaseS[name] = round6(s)
 	}
-	b.WallS = round6(res.WallS)
-	b.EventsPerSec = round6(res.EventsPerSec)
 	return b
 }
 

@@ -75,7 +75,7 @@ type Result struct {
 	// Perf, when non-nil, carries engine self-telemetry for the run that
 	// produced this result (wall clock, events/sec, allocs/event). It is
 	// populated only when the caller opted in (core.Runner.CollectPerf,
-	// ReportOptions.CollectPerf, WithPerfStats) and is never cached: wall
+	// WithPerfStats) and is never cached: wall
 	// times are machine-dependent, so cached results return it nil.
 	Perf *perfstat.Stat `json:"perf,omitempty"`
 

@@ -47,34 +47,6 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
 func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 
-// PerfProfile tunes the engine-layer allocation strategy. It changes only
-// where memory comes from, never event order: results, traces and metrics
-// are byte-identical under every profile.
-//
-// A nil *PerfProfile everywhere means "default": event pooling on, request
-// pooling on. Construct an explicit profile to switch either off (e.g. when
-// embedding the simulator under a tool that retains request pointers past
-// completion).
-type PerfProfile struct {
-	// PoolEvents recycles fired and discarded calendar events through an
-	// engine-internal freelist instead of allocating one per Schedule/At.
-	// Safe because every in-tree event holder drops its handle when the
-	// event fires (or cancels it before replacing it).
-	PoolEvents bool
-	// PoolRequests recycles block-layer requests through per-host pools
-	// with a free-at-complete lifecycle. Automatically bypassed by layers
-	// that must read a request after its queue completed it (journey
-	// tracking), and downgraded to a detect-only mode under invariant
-	// checking so pointer-keyed check state stays valid.
-	PoolRequests bool
-}
-
-// DefaultPerfProfile returns the default allocation strategy: both pools
-// enabled.
-func DefaultPerfProfile() *PerfProfile {
-	return &PerfProfile{PoolEvents: true, PoolRequests: true}
-}
-
 // Event is a scheduled callback. It may be cancelled before it fires.
 //
 // With event pooling enabled the engine recycles an Event once it has fired

@@ -7,7 +7,6 @@ import (
 	"adaptmr/internal/cluster"
 	"adaptmr/internal/mapred"
 	"adaptmr/internal/obs"
-	"adaptmr/internal/obs/perfstat"
 )
 
 // Report is the full analysis artefact of one traced run: critical path
@@ -21,10 +20,10 @@ type Report = analyze.Report
 type Bench = analyze.Bench
 
 // Comparison is the outcome of gating a candidate Bench against a
-// baseline; Regressed() reports whether any gated metric tripped.
+// baseline; Changed() reports whether any compared metric differs.
 type Comparison = analyze.Comparison
 
-// ReportOptions labels and parameterises RunReport.
+// ReportOptions labels and parameterises RunReport and RunExplain.
 type ReportOptions struct {
 	// Workload names the benchmark (e.g. "sort") in the report's bench
 	// summary; InputMB is the per-datanode input volume label.
@@ -39,13 +38,6 @@ type ReportOptions struct {
 	// (internal/check) to every block queue of the instrumented run; a
 	// violation fails the report.
 	CheckInvariants bool
-
-	// CollectPerf wraps the run's event loop in an engine self-telemetry
-	// probe and embeds the result (wall clock, events/sec, allocs/event)
-	// into the report's bench summary. Wall-clock values differ across
-	// runs, so reports produced with CollectPerf are NOT byte-identical;
-	// leave it off for golden or determinism comparisons.
-	CollectPerf bool
 }
 
 // RunReport executes one job under a single scheduler pair on a fresh,
@@ -54,52 +46,11 @@ type ReportOptions struct {
 // is replaced; the run is deterministic for a fixed cfg/job/pair, so the
 // report is byte-identical across invocations.
 func RunReport(cfg ClusterConfig, job JobConfig, pair Pair, opts ReportOptions) (*Report, error) {
-	if err := validate(cfg, job); err != nil {
+	run, err := runInstrumented(cfg, job, pair, opts, false)
+	if err != nil {
 		return nil, err
 	}
-	tracer := NewTracer()
-	metrics := NewMetrics()
-	cfg.Obs.Trace = tracer
-	cfg.Obs.Metrics = metrics
-	cfg.Obs.PIDBase = 0
-	var checks *CheckSet
-	if opts.CheckInvariants {
-		checks = NewCheckSet()
-		cfg.Check = checks
-	}
-
-	cl := cluster.New(cfg)
-	smp := analyze.NewSampler()
-	smp.AttachCluster(cl)
-	cl.InstallPair(pair)
-	j := mapred.NewJob(cl, job)
-	j.Start(nil)
-	probe := perfstat.Start(opts.CollectPerf, cl.Eng)
-	cl.Eng.Run()
-	perf := probe.Stop()
-	if !j.Done() {
-		return nil, fmt.Errorf("adaptmr: report run drained before job completion")
-	}
-	perfstat.Publish(metrics, perf)
-	res := j.Result()
-	if checks != nil {
-		checks.Finalize()
-		if err := checks.Err(); err != nil {
-			return nil, fmt.Errorf("adaptmr: report run failed invariant checks: %w", err)
-		}
-	}
-
-	return analyze.Build(tracer, res.Metrics, smp, analyze.Options{
-		PIDBase:          0,
-		Workload:         opts.Workload,
-		Hosts:            cfg.Hosts,
-		VMs:              cfg.VMsPerHost,
-		InputMB:          opts.InputMB,
-		Seed:             cfg.Seed,
-		Pair:             pair.Code(),
-		TimeseriesPoints: opts.TimeseriesPoints,
-		Perf:             perf,
-	})
+	return analyze.Build(run.tracer, run.snap, run.smp, run.opts)
 }
 
 // ExplainReport is the "why" artefact of one instrumented run: the full
@@ -116,18 +67,40 @@ type ExplainReport = analyze.ExplainReport
 // decision is tallied per phase and queue level. Deterministic for a
 // fixed cfg/job/pair, byte-identical across invocations.
 func RunExplain(cfg ClusterConfig, job JobConfig, pair Pair, opts ReportOptions) (*ExplainReport, error) {
-	if err := validate(cfg, job); err != nil {
+	run, err := runInstrumented(cfg, job, pair, opts, true)
+	if err != nil {
 		return nil, err
 	}
-	tracer := NewTracer()
-	metrics := NewMetrics()
-	journeys := obs.NewJourneyLog()
-	decisions := obs.NewDecisionLog()
-	cfg.Obs.Trace = tracer
-	cfg.Obs.Metrics = metrics
-	cfg.Obs.Journeys = journeys
-	cfg.Obs.Decisions = decisions
+	return analyze.BuildExplain(run.tracer, run.snap, run.smp, run.journeys, run.decisions, run.opts)
+}
+
+// instrumentedRun is what runInstrumented hands to the analyzers.
+type instrumentedRun struct {
+	tracer    *Tracer
+	snap      *obs.Snapshot
+	smp       *analyze.Sampler
+	journeys  *obs.JourneyLog
+	decisions *obs.DecisionLog
+	opts      analyze.Options
+}
+
+// runInstrumented runs one job to completion on a fresh cluster carrying
+// a tracer, a metrics registry and a timeseries sampler, plus the journey
+// and decision logs when explain is set.
+func runInstrumented(cfg ClusterConfig, job JobConfig, pair Pair, opts ReportOptions, explain bool) (instrumentedRun, error) {
+	if err := validate(cfg, job); err != nil {
+		return instrumentedRun{}, err
+	}
+	run := instrumentedRun{tracer: NewTracer()}
+	cfg.Obs.Trace = run.tracer
+	cfg.Obs.Metrics = NewMetrics()
 	cfg.Obs.PIDBase = 0
+	if explain {
+		run.journeys = obs.NewJourneyLog()
+		run.decisions = obs.NewDecisionLog()
+		cfg.Obs.Journeys = run.journeys
+		cfg.Obs.Decisions = run.decisions
+	}
 	var checks *CheckSet
 	if opts.CheckInvariants {
 		checks = NewCheckSet()
@@ -135,28 +108,23 @@ func RunExplain(cfg ClusterConfig, job JobConfig, pair Pair, opts ReportOptions)
 	}
 
 	cl := cluster.New(cfg)
-	smp := analyze.NewSampler()
-	smp.AttachCluster(cl)
+	run.smp = analyze.NewSampler()
+	run.smp.AttachCluster(cl)
 	cl.InstallPair(pair)
 	j := mapred.NewJob(cl, job)
 	j.Start(nil)
-	probe := perfstat.Start(opts.CollectPerf, cl.Eng)
 	cl.Eng.Run()
-	perf := probe.Stop()
 	if !j.Done() {
-		return nil, fmt.Errorf("adaptmr: explain run drained before job completion")
+		return instrumentedRun{}, fmt.Errorf("adaptmr: instrumented run drained before job completion")
 	}
-	perfstat.Publish(metrics, perf)
-	res := j.Result()
 	if checks != nil {
 		checks.Finalize()
 		if err := checks.Err(); err != nil {
-			return nil, fmt.Errorf("adaptmr: explain run failed invariant checks: %w", err)
+			return instrumentedRun{}, fmt.Errorf("adaptmr: instrumented run failed invariant checks: %w", err)
 		}
 	}
-
-	return analyze.BuildExplain(tracer, res.Metrics, smp, journeys, decisions, analyze.Options{
-		PIDBase:          0,
+	run.snap = j.Result().Metrics
+	run.opts = analyze.Options{
 		Workload:         opts.Workload,
 		Hosts:            cfg.Hosts,
 		VMs:              cfg.VMsPerHost,
@@ -164,13 +132,13 @@ func RunExplain(cfg ClusterConfig, job JobConfig, pair Pair, opts ReportOptions)
 		Seed:             cfg.Seed,
 		Pair:             pair.Code(),
 		TimeseriesPoints: opts.TimeseriesPoints,
-		Perf:             perf,
-	})
+	}
+	return run, nil
 }
 
-// CompareBenches gates a candidate bench against a baseline with the
-// given relative tolerance (0.05 = 5%). It errors when the two benches
+// CompareBenches checks a candidate bench against a baseline for exact
+// equality on every simulated metric. It errors when the two benches
 // come from different run configurations.
-func CompareBenches(base, cand Bench, tol float64) (Comparison, error) {
-	return analyze.Compare(base, cand, tol)
+func CompareBenches(base, cand Bench) (Comparison, error) {
+	return analyze.Compare(base, cand)
 }

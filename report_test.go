@@ -164,44 +164,66 @@ func TestReportProperties(t *testing.T) {
 	}
 }
 
-// TestGateBehaviour pins the regression gate: identical runs pass, a run
+// TestGateBehaviour pins the behaviour gate: identical runs pass, a run
 // on a cluster with a synthetically slowed disk fails, and mismatched
 // configurations refuse to compare.
 func TestGateBehaviour(t *testing.T) {
 	base := runSortReport(t, reportConfig(2, 2, 1), 32).Bench
 
-	// Identical rerun: no regression.
+	// Identical rerun: no change.
 	same := runSortReport(t, reportConfig(2, 2, 1), 32).Bench
-	cmp, err := adaptmr.CompareBenches(base, same, 0.05)
+	cmp, err := adaptmr.CompareBenches(base, same)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmp.Regressed() {
-		t.Fatalf("identical rerun regressed: %+v", cmp.Deltas)
+	if cmp.Changed() {
+		t.Fatalf("identical rerun changed: %+v", cmp.Deltas)
 	}
 
 	// Synthetic slowdown: host 0's disk at half speed must trip the gate.
 	slowCfg := reportConfig(2, 2, 1)
 	slowCfg.HostDiskSlowdown = map[int]float64{0: 2.0}
 	slow := runSortReport(t, slowCfg, 32).Bench
-	cmp, err = adaptmr.CompareBenches(base, slow, 0.05)
+	cmp, err = adaptmr.CompareBenches(base, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cmp.Regressed() {
+	if !cmp.Changed() {
 		t.Fatalf("slowed run passed the gate: base makespan %v, slow %v", base.MakespanS, slow.MakespanS)
 	}
 	var text strings.Builder
 	if err := cmp.WriteText(&text); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(text.String(), "FAIL") || !strings.Contains(text.String(), "REGRESSED") {
+	if !strings.Contains(text.String(), "FAIL") || !strings.Contains(text.String(), "CHANGED") {
 		t.Fatalf("comparison text missing verdicts:\n%s", text.String())
 	}
 
 	// Config mismatch errors out.
 	other := runSortReport(t, reportConfig(2, 2, 2), 32).Bench
-	if _, err := adaptmr.CompareBenches(base, other, 0.05); err == nil {
+	if _, err := adaptmr.CompareBenches(base, other); err == nil {
 		t.Fatal("seed mismatch should refuse to compare")
 	}
+}
+
+// TestGateWorkloadAllocsPerEvent bounds the engine's allocations per
+// simulated event on the gate workload (2×2, sort 64 MB, seed 1, cc).
+// Event and request pooling keep it near 0.57; a per-request or
+// per-event allocation slipping back into the hot path pushes it past
+// the bound.
+func TestGateWorkloadAllocsPerEvent(t *testing.T) {
+	const maxAllocsPerEvent = 1.16
+	res, err := adaptmr.Run(reportConfig(2, 2, 1), adaptmr.SortBenchmark(64<<20).Job,
+		adaptmr.DefaultPair, adaptmr.WithPerfStats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Perf == nil || res.Perf.Events == 0 {
+		t.Fatalf("no perf stats: %+v", res.Perf)
+	}
+	if got := res.Perf.AllocsPerEvent; got > maxAllocsPerEvent {
+		t.Fatalf("gate workload: %.4f allocs/event, bound %.2f (%d allocs over %d events)",
+			got, maxAllocsPerEvent, res.Perf.Allocs, res.Perf.Events)
+	}
+	t.Logf("%.4f allocs/event over %d events", res.Perf.AllocsPerEvent, res.Perf.Events)
 }
