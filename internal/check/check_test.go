@@ -220,3 +220,30 @@ func TestCheckerSwitchDrain(t *testing.T) {
 		t.Fatalf("Switches = %d, want 1", q.Stats().Switches)
 	}
 }
+
+// livelockElevator queues requests but never dispatches them, re-arming
+// its wake timer one nanosecond ahead forever.
+type livelockElevator struct{ pending int }
+
+func (e *livelockElevator) Name() string                       { return "livelock" }
+func (e *livelockElevator) Add(*block.Request, sim.Time)       { e.pending++ }
+func (e *livelockElevator) Completed(*block.Request, sim.Time) {}
+func (e *livelockElevator) Pending() int                       { return e.pending }
+func (e *livelockElevator) Dispatch(now sim.Time) (*block.Request, sim.Time) {
+	return nil, now + 1
+}
+
+// TestRunProgramEventBudget pins the replay's event budget: an elevator
+// that livelocks returns an error naming it instead of hanging the run.
+func TestRunProgramEventBudget(t *testing.T) {
+	prog, ok := DecodeProgram(seedPrograms()[0])
+	if !ok {
+		t.Fatal("seed program did not decode")
+	}
+	_, _, err := runProgram(prog, "livelock", func(string, iosched.Params) (block.Elevator, error) {
+		return &livelockElevator{}, nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "livelock") || !strings.Contains(err.Error(), "budget") {
+		t.Fatalf("livelocked replay returned %v, want a budget error naming the elevator", err)
+	}
+}

@@ -172,13 +172,28 @@ func newProgElevator(name string, p iosched.Params) (block.Elevator, error) {
 	return iosched.New(name, p)
 }
 
+// eventBudget bounds the events one replay of prog may fire. A program
+// fires a few events per op (submission, completion, wake and switch
+// timers), so a replay past the budget means an elevator that keeps
+// re-arming timers without dispatching: a livelock.
+func eventBudget(prog *Program) uint64 { return 64*uint64(len(prog.Ops)) + 10000 }
+
 // RunProgram replays prog against the named elevator with the invariant
 // checker attached, returning the terminal accounting and any violations
-// recorded by the checker (including Final drain checks).
+// recorded by the checker (including Final drain checks). It returns an
+// error naming the elevator if the replay exceeds its event budget, so a
+// livelock fails a fuzz input instead of stalling the fuzzer (Go fuzzing
+// has no per-input timeout).
 func RunProgram(prog *Program, elvName string) (RunResult, *Set, error) {
+	return runProgram(prog, elvName, newProgElevator)
+}
+
+// runProgram is RunProgram with the elevator constructor as a parameter,
+// so tests can install a deliberately broken elevator.
+func runProgram(prog *Program, elvName string, newElv func(string, iosched.Params) (block.Elevator, error)) (RunResult, *Set, error) {
 	eng := sim.New(1)
 	params := iosched.DefaultParams()
-	elv, err := newProgElevator(elvName, params)
+	elv, err := newElv(elvName, params)
 	if err != nil {
 		return RunResult{}, nil, err
 	}
@@ -224,7 +239,7 @@ func RunProgram(prog *Program, elvName string) (RunResult, *Set, error) {
 				target = RefName
 			}
 			eng.At(op.at, func() {
-				next, err := newProgElevator(target, params)
+				next, err := newElv(target, params)
 				if err != nil {
 					panic(err)
 				}
@@ -232,7 +247,11 @@ func RunProgram(prog *Program, elvName string) (RunResult, *Set, error) {
 			})
 		}
 	}
-	eng.Run()
+	for budget := eventBudget(prog); eng.Step(); {
+		if eng.EventsFired() > budget {
+			return res, set, fmt.Errorf("%s: replay exceeded its budget of %d events (livelock?)", elvName, budget)
+		}
+	}
 
 	res.Stats = q.Stats()
 	res.Pending = q.Pending()

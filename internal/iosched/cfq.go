@@ -40,10 +40,6 @@ type CFQSched struct {
 	// them forever.
 	asyncStarved int
 
-	// deadlines holds each queued request's fifo deadline (entry time +
-	// FifoExpireSync/Async); absent when the expiry knobs are zero.
-	deadlines map[*block.Request]sim.Time
-
 	nextPos int64
 	pending int
 }
@@ -52,8 +48,9 @@ type cfqQueue struct {
 	stream block.StreamID
 	sync   bool
 	list   sortedList
-	// expiry holds the queue's requests in arrival order for the
-	// cfq_check_fifo deadline (see take).
+	// expiry holds the queue's requests in arrival order with their
+	// cfq_check_fifo deadlines (entry time + FifoExpireSync/Async; see
+	// take). It stays empty when the queue's expiry knob is zero.
 	expiry fifo
 	onRR   bool
 }
@@ -61,10 +58,9 @@ type cfqQueue struct {
 // NewCFQ returns a CFQ elevator with the given tunables.
 func NewCFQ(p Params) *CFQSched {
 	s := &CFQSched{
-		p:         p,
-		queues:    make(map[block.StreamID]*cfqQueue),
-		merges:    newMerger(p.MaxSectors),
-		deadlines: make(map[*block.Request]sim.Time),
+		p:      p,
+		queues: make(map[block.StreamID]*cfqQueue),
+		merges: newMerger(p.MaxSectors),
 	}
 	s.async = &cfqQueue{stream: -1, sync: false}
 	return s
@@ -90,7 +86,7 @@ func (s *CFQSched) Add(r *block.Request, now sim.Time) {
 	if g := s.merges.tryMerge(r); g != nil {
 		if g.Sector == r.Sector {
 			// Front merge moved g's start sector; restore sort order.
-			s.queueFor(g).list.refresh(g)
+			s.queueFor(g).list.refresh(g, r.End())
 		}
 		return
 	}
@@ -101,8 +97,7 @@ func (s *CFQSched) Add(r *block.Request, now sim.Time) {
 		expire = s.p.FifoExpireAsync
 	}
 	if expire > 0 {
-		q.expiry.push(r)
-		s.deadlines[r] = now.Add(expire)
+		q.expiry.push(r, now.Add(expire))
 	}
 	s.merges.add(r)
 	s.pending++
@@ -269,14 +264,15 @@ func (s *CFQSched) expire(now sim.Time) {
 // refilled queue from bypassing one old request sweep after sweep.
 func (s *CFQSched) take(q *cfqQueue, now sim.Time) *block.Request {
 	r := q.list.next(s.nextPos)
-	if f := q.expiry.front(); f != nil && f != r && s.deadlines[f] <= now {
+	if f := q.expiry.front(); f != nil && f != r && q.expiry.frontDeadline() <= now {
 		s.p.Decisions.RecordStream(now, obs.DecCFQFifoExpired, int64(q.stream))
 		r = f
 	}
 	q.list.remove(r)
-	if _, ok := s.deadlines[r]; ok {
+	// A queue's requests are all in its expiry fifo exactly when its
+	// expire knob is nonzero.
+	if q.expiry.len() > 0 {
 		q.expiry.remove(r)
-		delete(s.deadlines, r)
 	}
 	s.merges.remove(r)
 	s.pending--

@@ -189,22 +189,18 @@ func (l *sortedList) remove(r *block.Request) {
 			return
 		}
 	}
-	// Front merges move a request's start sector; fall back to linear scan.
-	for j, q := range l.reqs {
-		if q == r {
-			copy(l.reqs[j:], l.reqs[j+1:])
-			l.reqs = l.reqs[:len(l.reqs)-1]
-			return
-		}
-	}
 	panic("iosched: removing request not in sorted list")
 }
 
-// refresh restores r's sort position after its start sector changed (a
-// front merge moves the extent start backwards, silently breaking the
-// ascending invariant the binary searches in insert/next rely on).
-func (l *sortedList) refresh(r *block.Request) {
+// refresh restores r's sort position after a front merge moved its start
+// back from oldSector, which breaks the ascending invariant the binary
+// searches rely on. r is looked up under oldSector, the start the list
+// still holds it at.
+func (l *sortedList) refresh(r *block.Request, oldSector int64) {
+	sector := r.Sector
+	r.Sector = oldSector
 	l.remove(r)
+	r.Sector = sector
 	l.insert(r)
 }
 
@@ -221,32 +217,38 @@ func (l *sortedList) next(pos int64) *block.Request {
 	return l.reqs[i]
 }
 
-func (l *sortedList) front() *block.Request {
-	if len(l.reqs) == 0 {
-		return nil
-	}
-	return l.reqs[0]
+// fifo is an insertion-ordered queue used for deadline enforcement. Each
+// entry carries its request's expiry deadline, so no elevator needs a
+// side table keyed by request; noop, which has no deadlines, pushes zero.
+type fifo struct {
+	reqs []fifoEntry
 }
 
-// fifo is an insertion-ordered queue used for deadline enforcement.
-type fifo struct {
-	reqs []*block.Request
+type fifoEntry struct {
+	r        *block.Request
+	deadline sim.Time
 }
 
 func (f *fifo) len() int { return len(f.reqs) }
 
-func (f *fifo) push(r *block.Request) { f.reqs = append(f.reqs, r) }
+func (f *fifo) push(r *block.Request, deadline sim.Time) {
+	f.reqs = append(f.reqs, fifoEntry{r, deadline})
+}
 
 func (f *fifo) front() *block.Request {
 	if len(f.reqs) == 0 {
 		return nil
 	}
-	return f.reqs[0]
+	return f.reqs[0].r
 }
 
+// frontDeadline returns the deadline of the front request; the caller
+// guarantees the fifo is nonempty.
+func (f *fifo) frontDeadline() sim.Time { return f.reqs[0].deadline }
+
 func (f *fifo) remove(r *block.Request) {
-	for i, q := range f.reqs {
-		if q == r {
+	for i, e := range f.reqs {
+		if e.r == r {
 			copy(f.reqs[i:], f.reqs[i+1:])
 			f.reqs = f.reqs[:len(f.reqs)-1]
 			return
@@ -255,17 +257,13 @@ func (f *fifo) remove(r *block.Request) {
 	panic("iosched: removing request not in fifo")
 }
 
-// merger indexes queued requests by start and end sector, mirroring the
-// block layer's rq hash, so an incoming request can be coalesced with an
-// adjacent queued request in O(1).
-//
-// A bucket stores its first entry inline because almost every sector key
-// holds exactly one queued request at a time: the overflow slice only
-// allocates on a genuine collision, so steady-state indexing is
-// allocation-free. Bucket order evolves exactly like the plain
-// append/swap-remove slice it replaces (first is conceptual slot 0), so
-// candidate scan order — and therefore which request wins a merge — is
-// unchanged.
+// A mergeBucket holds the queued requests under one index key. It stores
+// its first entry inline because almost every key holds exactly one queued
+// request at a time: the overflow slice only allocates on a genuine
+// collision, so steady-state indexing is allocation-free. Bucket order
+// evolves exactly like a plain append/swap-remove slice (first is
+// conceptual slot 0), and that candidate scan order decides which request
+// wins a merge.
 type mergeBucket struct {
 	first *block.Request
 	rest  []*block.Request
@@ -279,8 +277,7 @@ func (b *mergeBucket) add(r *block.Request) {
 	b.rest = append(b.rest, r)
 }
 
-// cut removes r, moving the last entry into its slot (the swap-remove the
-// slice version performed).
+// cut removes r, moving the last entry into its slot (swap-remove).
 func (b *mergeBucket) cut(r *block.Request) {
 	if b.first == r {
 		if n := len(b.rest); n > 0 {
@@ -303,65 +300,119 @@ func (b *mergeBucket) cut(r *block.Request) {
 	}
 }
 
-// Buckets are stored by pointer so the hot path mutates them in place: an
-// add touches the map only on a lookup (plus one insert when the key is
-// new), never re-assigning the bucket value. Emptied buckets go to a
-// freelist keeping their overflow capacity.
+// Merge index key kinds: a request is indexed under its start sector and
+// under its end sector.
+const (
+	startKey = 0
+	endKey   = 1
+)
+
+// merger indexes queued requests by start and end sector, like the block
+// layer's rq hash, so an incoming request can be coalesced with an
+// adjacent queued request in O(1).
+//
+// Both indexes share one open-addressed table of buckets held by value.
+// The key is (sector<<1 | kind) + 1, so 0 marks an empty slot. Fibonacci
+// hashing picks a home slot in a power-of-two array and collisions probe
+// linearly. The table doubles at 50% load, and deletion shifts the rest of
+// the probe run back, so there are no tombstones. A freed slot keeps its
+// bucket's overflow capacity for the next key that lands there.
 type merger struct {
-	byStart    map[int64]*mergeBucket
-	byEnd      map[int64]*mergeBucket
-	free       []*mergeBucket
+	slots      []mergeSlot
+	used       int
+	shift      uint // 64 - log2(len(slots))
 	maxSectors int64
 }
 
+type mergeSlot struct {
+	key int64
+	b   mergeBucket
+}
+
 func newMerger(maxSectors int64) *merger {
-	return &merger{
-		byStart:    make(map[int64]*mergeBucket),
-		byEnd:      make(map[int64]*mergeBucket),
-		maxSectors: maxSectors,
+	return &merger{slots: make([]mergeSlot, 16), shift: 60, maxSectors: maxSectors}
+}
+
+func mergeKey(sector, kind int64) int64 { return (sector<<1 | kind) + 1 }
+
+func (m *merger) home(key int64) int { return int(uint64(key) * 0x9e3779b97f4a7c15 >> m.shift) }
+
+// slot returns the index holding key, or the empty slot ending its probe run.
+func (m *merger) slot(key int64) int {
+	mask := len(m.slots) - 1
+	i := m.home(key)
+	for m.slots[i].key != 0 && m.slots[i].key != key {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// find returns key's bucket, or nil when no queued request has the key.
+func (m *merger) find(sector, kind int64) *mergeBucket {
+	s := &m.slots[m.slot(mergeKey(sector, kind))]
+	if s.key == 0 {
+		return nil
+	}
+	return &s.b
+}
+
+func (m *merger) insert(sector, kind int64, r *block.Request) {
+	key := mergeKey(sector, kind)
+	i := m.slot(key)
+	if m.slots[i].key == 0 {
+		if 2*(m.used+1) > len(m.slots) {
+			m.grow()
+			i = m.slot(key)
+		}
+		m.slots[i].key = key
+		m.used++
+	}
+	m.slots[i].b.add(r)
+}
+
+func (m *merger) grow() {
+	old := m.slots
+	m.slots = make([]mergeSlot, 2*len(old))
+	m.shift--
+	for _, s := range old {
+		if s.key != 0 {
+			m.slots[m.slot(s.key)] = s
+		}
 	}
 }
 
-// bucket resolves (creating if needed) the bucket under key in idx.
-func (m *merger) bucket(idx map[int64]*mergeBucket, key int64) *mergeBucket {
-	b := idx[key]
-	if b == nil {
-		if n := len(m.free); n > 0 {
-			b = m.free[n-1]
-			m.free[n-1] = nil
-			m.free = m.free[:n-1]
-		} else {
-			b = &mergeBucket{}
-		}
-		idx[key] = b
+// drop cuts r from key's bucket and frees the slot once the bucket is
+// empty: every later entry of the probe run whose home does not lie
+// between the hole and itself moves back into the hole.
+func (m *merger) drop(sector, kind int64, r *block.Request) {
+	i := m.slot(mergeKey(sector, kind))
+	if m.slots[i].key == 0 {
+		return
 	}
-	return b
+	b := &m.slots[i].b
+	b.cut(r)
+	if b.first != nil {
+		return
+	}
+	m.used--
+	mask := len(m.slots) - 1
+	for j := (i + 1) & mask; m.slots[j].key != 0; j = (j + 1) & mask {
+		if (j-m.home(m.slots[j].key))&mask >= (j-i)&mask {
+			m.slots[i], m.slots[j] = m.slots[j], m.slots[i]
+			i = j
+		}
+	}
+	m.slots[i].key = 0
 }
 
 func (m *merger) add(r *block.Request) {
-	m.bucket(m.byStart, r.Sector).add(r)
-	m.bucket(m.byEnd, r.End()).add(r)
+	m.insert(r.Sector, startKey, r)
+	m.insert(r.End(), endKey, r)
 }
 
-// remove deletes r's index entries. Emptied buckets are deleted from the
-// map — a missing key and an empty bucket offer identical candidates, and
-// dropping dead keys keeps the maps sized to the queued population instead
-// of every sector the run ever touched.
 func (m *merger) remove(r *block.Request) {
-	if b := m.byStart[r.Sector]; b != nil {
-		b.cut(r)
-		if b.first == nil {
-			delete(m.byStart, r.Sector)
-			m.free = append(m.free, b)
-		}
-	}
-	if b := m.byEnd[r.End()]; b != nil {
-		b.cut(r)
-		if b.first == nil {
-			delete(m.byEnd, r.End())
-			m.free = append(m.free, b)
-		}
-	}
+	m.drop(r.Sector, startKey, r)
+	m.drop(r.End(), endKey, r)
 }
 
 // tryMerge attempts to coalesce r into a queued request. On success it
@@ -369,7 +420,7 @@ func (m *merger) remove(r *block.Request) {
 // cascading merges of the third adjacent request are not attempted, like
 // most 2.6 elevators.
 func (m *merger) tryMerge(r *block.Request) *block.Request {
-	if b := m.byEnd[r.Sector]; b != nil {
+	if b := m.find(r.Sector, endKey); b != nil {
 		if b.first.CanBackMerge(r, m.maxSectors) {
 			q := b.first
 			m.remove(q)
@@ -386,7 +437,7 @@ func (m *merger) tryMerge(r *block.Request) *block.Request {
 			}
 		}
 	}
-	if b := m.byStart[r.End()]; b != nil {
+	if b := m.find(r.End(), startKey); b != nil {
 		if b.first.CanFrontMerge(r, m.maxSectors) {
 			q := b.first
 			m.remove(q)

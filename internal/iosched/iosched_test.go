@@ -57,8 +57,8 @@ func TestSortedListInsertAndNext(t *testing.T) {
 	if r := l.next(100); r.Sector != 10 {
 		t.Fatalf("next(100) = %d (no wrap)", r.Sector)
 	}
-	if l.front().Sector != 10 {
-		t.Fatalf("front = %d", l.front().Sector)
+	if l.reqs[0].Sector != 10 {
+		t.Fatalf("front = %d", l.reqs[0].Sector)
 	}
 }
 
@@ -92,15 +92,46 @@ func TestFIFO(t *testing.T) {
 	var f fifo
 	a := block.NewRequest(block.Read, 10, 4, true, 1)
 	b := block.NewRequest(block.Read, 20, 4, true, 1)
-	f.push(a)
-	f.push(b)
-	if f.front() != a {
+	f.push(a, 5)
+	f.push(b, 7)
+	if f.front() != a || f.frontDeadline() != 5 {
 		t.Fatal("front is not oldest")
 	}
 	f.remove(a)
-	if f.front() != b || f.len() != 1 {
+	if f.front() != b || f.frontDeadline() != 7 || f.len() != 1 {
 		t.Fatal("remove broke fifo")
 	}
+}
+
+// TestSortedListRefreshAfterFrontMerge pins refresh's lookup by the old
+// start sector: the front-merged request sits among neighbours that share
+// its old start, on both sides, and its new start is below a third
+// request's. refresh must find it by binary search under the old key and
+// re-sort it; a request that is absent still panics.
+func TestSortedListRefreshAfterFrontMerge(t *testing.T) {
+	var l sortedList
+	mk := func(sector int64, stream block.StreamID) *block.Request {
+		r := block.NewRequest(block.Read, sector, 8, true, stream)
+		l.insert(r)
+		return r
+	}
+	mk(96, 3)
+	mk(100, 4) // ends up after g: insert places g before equal sectors
+	g := mk(100, 1)
+	mk(100, 2) // ends up before g
+	mk(200, 5)
+	g.FrontMerge(block.NewRequest(block.Read, 92, 8, true, 1))
+	l.refresh(g, 100)
+	ascending(t, "refresh", &l)
+	if l.len() != 5 || l.reqs[0] != g {
+		t.Fatalf("refresh lost or misplaced the merged request: len %d front %v", l.len(), l.reqs[0])
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("refreshing an absent request did not panic")
+		}
+	}()
+	l.refresh(block.NewRequest(block.Read, 92, 8, true, 1), 100)
 }
 
 func TestMergerBackAndFront(t *testing.T) {

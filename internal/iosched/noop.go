@@ -28,7 +28,7 @@ func (s *NoopSched) Add(r *block.Request, _ sim.Time) {
 	if s.merges.tryMerge(r) != nil {
 		return
 	}
-	s.q.push(r)
+	s.q.push(r, 0)
 	s.merges.add(r)
 }
 
