@@ -29,6 +29,85 @@ func tinyScenario() Scenario {
 	return s.withDefaults()
 }
 
+// fair20Scenario is 20 overlapping fair-share jobs on 4 cells.
+func fair20Scenario() Scenario {
+	return Scenario{
+		Name:                 "fair20",
+		Seed:                 11,
+		Cells:                4,
+		HostsPerCell:         2,
+		VMsPerHost:           2,
+		Pair:                 "cc",
+		Policy:               PolicyFair,
+		MaxConcurrentPerCell: 3,
+		Arrivals:             ArrivalSpec{Kind: "poisson", RatePerMin: 30, HorizonMS: 40_000},
+		Jobs: []JobSpec{
+			{ID: "sort", Benchmark: "sort", InputPerVMMB: 16, Count: 7},
+			{ID: "wc", Benchmark: "wordcount", InputPerVMMB: 16, Count: 7, Weight: 3},
+			{ID: "wcnc", Benchmark: "wordcount-nc", InputPerVMMB: 16, Count: 6},
+		},
+	}
+}
+
+// capacityScenario runs two capacity-scheduler queues.
+func capacityScenario() Scenario {
+	s := Scenario{
+		Name:         "cap",
+		Seed:         3,
+		Cells:        1,
+		HostsPerCell: 2,
+		VMsPerHost:   2,
+		Pair:         "cc",
+		Policy:       PolicyCapacity,
+		Queues: []QueueSpec{
+			{Name: "prod", Share: 0.7},
+			{Name: "batch", Share: 0.3},
+		},
+		Jobs: []JobSpec{
+			{ID: "p", Benchmark: "wordcount", InputPerVMMB: 16, Count: 2, Queue: "prod"},
+			{ID: "b", Benchmark: "sort", InputPerVMMB: 16, Count: 2, Queue: "batch"},
+		},
+	}
+	return s.withDefaults()
+}
+
+// capReleaseScenario bursts 8 jobs at t=0 against an admission cap of 2
+// under the capacity policy.
+func capReleaseScenario() Scenario {
+	s := Scenario{
+		Name:                 "cap-release",
+		Seed:                 5,
+		Cells:                1,
+		HostsPerCell:         2,
+		VMsPerHost:           2,
+		Pair:                 "cc",
+		Policy:               PolicyCapacity,
+		MaxConcurrentPerCell: 2,
+		Arrivals:             ArrivalSpec{Kind: "trace"},
+		Queues: []QueueSpec{
+			{Name: "prod", Share: 0.6},
+			{Name: "batch", Share: 0.4},
+		},
+		Jobs: []JobSpec{
+			{ID: "p", Benchmark: "wordcount", InputPerVMMB: 16, Count: 4, Queue: "prod",
+				ArriveMS: []int64{0, 0, 0, 0}},
+			{ID: "b", Benchmark: "sort", InputPerVMMB: 16, Count: 4, Queue: "batch",
+				ArriveMS: []int64{0, 0, 0, 0}},
+		},
+	}
+	return s.withDefaults()
+}
+
+// traceScenario places two sort jobs at explicit arrival times.
+func traceScenario() Scenario {
+	s := tinyScenario()
+	s.Arrivals = ArrivalSpec{Kind: "trace"}
+	s.Jobs = []JobSpec{
+		{ID: "sort", Benchmark: "sort", InputPerVMMB: 16, Count: 2, ArriveMS: []int64{0, 5_000}},
+	}
+	return s.withDefaults()
+}
+
 func TestSmokeScenarioRuns(t *testing.T) {
 	res, err := Run(SmokeScenario(), Options{})
 	if err != nil {
@@ -107,22 +186,7 @@ func TestSerialShardedByteIdentity(t *testing.T) {
 // the full runtime invariant harness (and the race detector, in CI's
 // -race pass, exercising the sharded path's goroutines).
 func TestFairShareTwentyJobsChecked(t *testing.T) {
-	s := Scenario{
-		Name:                 "fair20",
-		Seed:                 11,
-		Cells:                4,
-		HostsPerCell:         2,
-		VMsPerHost:           2,
-		Pair:                 "cc",
-		Policy:               PolicyFair,
-		MaxConcurrentPerCell: 3,
-		Arrivals:             ArrivalSpec{Kind: "poisson", RatePerMin: 30, HorizonMS: 40_000},
-		Jobs: []JobSpec{
-			{ID: "sort", Benchmark: "sort", InputPerVMMB: 16, Count: 7},
-			{ID: "wc", Benchmark: "wordcount", InputPerVMMB: 16, Count: 7, Weight: 3},
-			{ID: "wcnc", Benchmark: "wordcount-nc", InputPerVMMB: 16, Count: 6},
-		},
-	}
+	s := fair20Scenario()
 	cs := check.NewSet()
 	res, err := Run(s, Options{Parallelism: 4, Check: cs})
 	if err != nil {
@@ -265,6 +329,23 @@ func TestScenarioValidation(t *testing.T) {
 		// Used to pass validation and then panic in xen when the VM image
 		// extents overran the host disk.
 		{"VMs exceed disk", func(s *Scenario) { s.VMsPerHost = 100000000 }},
+		// These ran for hours simulating nothing: a window whose
+		// nanoseconds overflow, and arrivals a billion windows out.
+		{"window overflows", func(s *Scenario) { s.WindowMS = 1 << 62 }},
+		{"arrival beyond span", func(s *Scenario) {
+			s.Arrivals = ArrivalSpec{Kind: "trace"}
+			s.Jobs = []JobSpec{{ID: "sort", Benchmark: "sort", InputPerVMMB: 1, Count: 1, ArriveMS: []int64{1e12}, Weight: 1}}
+		}},
+		{"negative arrival", func(s *Scenario) {
+			s.Arrivals = ArrivalSpec{Kind: "trace"}
+			s.Jobs = []JobSpec{{ID: "sort", Benchmark: "sort", InputPerVMMB: 1, Count: 1, ArriveMS: []int64{-5}, Weight: 1}}
+		}},
+		{"poisson horizon beyond span", func(s *Scenario) { s.Arrivals = ArrivalSpec{Kind: "poisson", HorizonMS: 1 << 62} }},
+		{"poisson rate near zero", func(s *Scenario) { s.Arrivals = ArrivalSpec{Kind: "poisson", RatePerMin: 1e-300} }},
+		{"too many idle windows", func(s *Scenario) {
+			s.WindowMS = 1
+			s.Arrivals = ArrivalSpec{Kind: "poisson", HorizonMS: 2_000_000_000}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -287,24 +368,8 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 }
 
 func TestCapacityPolicyEndToEnd(t *testing.T) {
-	s := Scenario{
-		Name:         "cap",
-		Seed:         3,
-		Cells:        1,
-		HostsPerCell: 2,
-		VMsPerHost:   2,
-		Pair:         "cc",
-		Policy:       PolicyCapacity,
-		Queues: []QueueSpec{
-			{Name: "prod", Share: 0.7},
-			{Name: "batch", Share: 0.3},
-		},
-		Jobs: []JobSpec{
-			{ID: "p", Benchmark: "wordcount", InputPerVMMB: 16, Count: 2, Queue: "prod"},
-			{ID: "b", Benchmark: "sort", InputPerVMMB: 16, Count: 2, Queue: "batch"},
-		},
-	}
-	res, err := Run(s.withDefaults(), Options{})
+	s := capacityScenario()
+	res, err := Run(s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,28 +388,7 @@ func TestCapacityPolicyEndToEnd(t *testing.T) {
 // still completed with a consistent lifecycle, under the invariant
 // harness.
 func TestCapacityReleaseReplenishesGrants(t *testing.T) {
-	s := Scenario{
-		Name:                 "cap-release",
-		Seed:                 5,
-		Cells:                1,
-		HostsPerCell:         2,
-		VMsPerHost:           2,
-		Pair:                 "cc",
-		Policy:               PolicyCapacity,
-		MaxConcurrentPerCell: 2,
-		Arrivals:             ArrivalSpec{Kind: "trace"},
-		Queues: []QueueSpec{
-			{Name: "prod", Share: 0.6},
-			{Name: "batch", Share: 0.4},
-		},
-		Jobs: []JobSpec{
-			{ID: "p", Benchmark: "wordcount", InputPerVMMB: 16, Count: 4, Queue: "prod",
-				ArriveMS: []int64{0, 0, 0, 0}},
-			{ID: "b", Benchmark: "sort", InputPerVMMB: 16, Count: 4, Queue: "batch",
-				ArriveMS: []int64{0, 0, 0, 0}},
-		},
-	}
-	s = s.withDefaults()
+	s := capReleaseScenario()
 	cs := check.NewSet()
 	res, err := Run(s, Options{Check: cs})
 	if err != nil {
@@ -378,13 +422,7 @@ func TestCapacityReleaseReplenishesGrants(t *testing.T) {
 }
 
 func TestTraceArrivals(t *testing.T) {
-	s := tinyScenario()
-	s.Arrivals = ArrivalSpec{Kind: "trace"}
-	s.Jobs = []JobSpec{
-		{ID: "sort", Benchmark: "sort", InputPerVMMB: 16, Count: 2, ArriveMS: []int64{0, 5_000}},
-	}
-	s = s.withDefaults()
-	res, err := Run(s, Options{})
+	res, err := Run(traceScenario(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,6 +189,18 @@ func (s Scenario) withDefaults() Scenario {
 	return s
 }
 
+// Scenario times are bounded so that a tiny scenario cannot run for hours
+// simulating nothing.
+const (
+	// maxSpanMS (30 simulated days) caps every arrival time and the
+	// barrier window, so their nanosecond values cannot overflow.
+	maxSpanMS = 30 * 24 * 3600 * 1000
+	// maxIdleWindows caps the barrier rounds before the last arrival:
+	// cells may idle until then, and every round costs host time even
+	// when no event fires.
+	maxIdleWindows = 1_000_000
+)
+
 // Validate reports the first structural error in the scenario, including
 // a mapred.Config validation of every expanded job instance — degenerate
 // job settings are rejected here, before anything is simulated.
@@ -202,8 +214,8 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("fleet: per-VM slot capacities must be >= 1, got map=%d reduce=%d", s.MapSlotsPerVM, s.ReduceSlotsPerVM)
 	case s.MaxConcurrentPerCell < 0:
 		return fmt.Errorf("fleet: MaxConcurrentPerCell must be >= 0, got %d", s.MaxConcurrentPerCell)
-	case s.WindowMS < 1:
-		return fmt.Errorf("fleet: WindowMS must be >= 1, got %d", s.WindowMS)
+	case s.WindowMS < 1 || s.WindowMS > maxSpanMS:
+		return fmt.Errorf("fleet: WindowMS must be in [1, %d], got %d", maxSpanMS, s.WindowMS)
 	case len(s.Jobs) == 0:
 		return fmt.Errorf("fleet: scenario has no jobs")
 	}
@@ -218,11 +230,16 @@ func (s Scenario) Validate() error {
 	default:
 		return fmt.Errorf("fleet: unknown policy %q (want fifo, fair or capacity)", s.Policy)
 	}
+	span := 0.0 // latest possible arrival, ms
 	switch s.Arrivals.Kind {
 	case "immediate", "trace":
 	case "poisson":
 		if s.Arrivals.RatePerMin <= 0 && s.Arrivals.HorizonMS <= 0 {
 			return fmt.Errorf("fleet: poisson arrivals need rate_per_min > 0 or horizon_ms > 0")
+		}
+		span = float64(s.Arrivals.HorizonMS)
+		if s.Arrivals.HorizonMS <= 0 {
+			span = float64(s.TotalJobs()) / s.Arrivals.RatePerMin * 60_000
 		}
 	default:
 		return fmt.Errorf("fleet: unknown arrival kind %q (want immediate, poisson or trace)", s.Arrivals.Kind)
@@ -264,8 +281,16 @@ func (s Scenario) Validate() error {
 		if s.Policy == PolicyCapacity && !queues[j.Queue] {
 			return fmt.Errorf("fleet: jobs[%d] %q: unknown queue %q", i, j.ID, j.Queue)
 		}
-		if s.Arrivals.Kind == "trace" && len(j.ArriveMS) != j.Count {
-			return fmt.Errorf("fleet: jobs[%d] %q: trace arrivals need %d arrive_ms entries, got %d", i, j.ID, j.Count, len(j.ArriveMS))
+		if s.Arrivals.Kind == "trace" {
+			if len(j.ArriveMS) != j.Count {
+				return fmt.Errorf("fleet: jobs[%d] %q: trace arrivals need %d arrive_ms entries, got %d", i, j.ID, j.Count, len(j.ArriveMS))
+			}
+			for _, a := range j.ArriveMS {
+				if a < 0 || a > maxSpanMS {
+					return fmt.Errorf("fleet: jobs[%d] %q: arrive_ms %d outside [0, %d]", i, j.ID, a, maxSpanMS)
+				}
+				span = max(span, float64(a))
+			}
 		}
 		bench, err := workloads.ByName(j.Benchmark, j.InputPerVMMB<<20)
 		if err != nil {
@@ -276,6 +301,10 @@ func (s Scenario) Validate() error {
 		if err := cfg.Validate(); err != nil {
 			return fmt.Errorf("fleet: jobs[%d] %q: %w", i, j.ID, err)
 		}
+	}
+	if span > maxSpanMS || span/float64(s.WindowMS) > maxIdleWindows {
+		return fmt.Errorf("fleet: arrivals span %.0f ms, over %d ms or %d barrier windows of %d ms",
+			span, maxSpanMS, maxIdleWindows, s.WindowMS)
 	}
 	return nil
 }

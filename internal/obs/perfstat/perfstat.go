@@ -1,8 +1,10 @@
 // Package perfstat measures the simulator's own execution cost: wall
 // clock, events processed, events/sec, heap allocations and GC activity
-// across one engine run. It is the self-telemetry substrate for the
-// event-engine speed work — the CI gate watches allocs/event and
-// events/sec through the numbers captured here.
+// across one engine run. Its numbers feed RunResult.Perf (the facade's
+// WithPerfStats), the perf.* registry gauges, adaptd's perf.last.*
+// gauges and TestGateWorkloadAllocsPerEvent's allocs/event bound. The
+// BENCH gate does not read them: it compares simulated output only, and
+// host time is measured end to end by perfbench.
 //
 // Collection is opt-in and near-zero cost when disabled: Start returns a
 // nil *Probe, and every method on a nil probe is a no-op, so callers
@@ -12,9 +14,8 @@
 //
 // The allocation counters are (for a fixed Go toolchain) deterministic:
 // the simulation is single-goroutine and allocates the same objects on
-// every run, so allocs/event is a gateable CI dimension. Wall-clock
-// derived numbers (events/sec) vary with the machine and are gated only
-// with a wide tolerance.
+// every run, so allocs/event can carry a test bound. Wall-clock derived
+// numbers (events/sec) vary with the machine and carry none.
 package perfstat
 
 import (

@@ -7,13 +7,17 @@ import (
 )
 
 // refHeap is the old container/heap binary-heap calendar, kept here as the
-// reference oracle for the indexed 4-ary replacement.
+// reference oracle for the indexed 4-ary replacement and, through
+// refEngine, for the lanes.
 type refEvent struct {
-	at  Time
-	seq uint64
+	at       Time
+	seq      uint64
+	fn       func()
+	canceled bool
+	popped   bool
 }
 
-type refHeap []refEvent
+type refHeap []*refEvent
 
 func (h refHeap) Len() int { return len(h) }
 func (h refHeap) Less(i, j int) bool {
@@ -23,13 +27,88 @@ func (h refHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)   { *h = append(*h, x.(refEvent)) }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(*refEvent)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	n := len(old)
 	it := old[n-1]
 	*h = old[:n-1]
+	it.popped = true
 	return it
+}
+
+// refEngine is the heap-only calendar: every event, fixed-delay or not,
+// goes through one binary heap ordered by (at, seq); cancelled entries are
+// discarded lazily when they reach the top; nothing is recycled. It is
+// the oracle the engine's heap-plus-lanes calendar must match.
+type refEngine struct {
+	now       Time
+	seq       uint64
+	h         refHeap
+	stopped   bool
+	fired     uint64
+	cancelled int
+}
+
+func (r *refEngine) Now() Time           { return r.now }
+func (r *refEngine) EventsFired() uint64 { return r.fired }
+func (r *refEngine) Pending() int        { return r.h.Len() - r.cancelled }
+func (r *refEngine) Stop()               { r.stopped = true }
+
+// schedule puts fn on the heap; cancel is valid until fn fires.
+func (r *refEngine) schedule(d Duration, fn func()) (cancel func()) {
+	ev := &refEvent{at: r.now.Add(max(d, 0)), seq: r.seq, fn: fn}
+	r.seq++
+	heap.Push(&r.h, ev)
+	return func() {
+		if !ev.canceled && !ev.popped {
+			r.cancelled++
+		}
+		ev.canceled = true
+	}
+}
+
+// laneSchedule is a plain heap event: the reference has no lanes.
+func (r *refEngine) laneSchedule(d Duration, fn func()) { r.schedule(d, fn) }
+
+// peek returns the earliest runnable event, discarding cancelled tops.
+func (r *refEngine) peek() *refEvent {
+	for r.h.Len() > 0 {
+		if top := r.h[0]; !top.canceled {
+			return top
+		}
+		heap.Pop(&r.h)
+		r.cancelled--
+	}
+	return nil
+}
+
+func (r *refEngine) Step() bool {
+	if r.peek() == nil {
+		return false
+	}
+	ev := heap.Pop(&r.h).(*refEvent)
+	r.now = ev.at
+	r.fired++
+	ev.fn()
+	return true
+}
+
+func (r *refEngine) Run() {
+	r.stopped = false
+	for !r.stopped && r.Step() {
+	}
+}
+
+func (r *refEngine) RunUntil(t Time) {
+	r.stopped = false
+	for !r.stopped {
+		if ev := r.peek(); ev == nil || ev.at > t {
+			r.now = max(r.now, t)
+			return
+		}
+		r.Step()
+	}
 }
 
 // TestCalendarMatchesBinaryHeap drives 10k random timed inserts — with a
@@ -46,12 +125,12 @@ func TestCalendarMatchesBinaryHeap(t *testing.T) {
 	insert := func() {
 		at := Time(rng.Intn(997)) // small domain => many duplicate timestamps
 		cal.push(&Event{at: at, seq: seq, fn: func() {}})
-		heap.Push(ref, refEvent{at: at, seq: seq})
+		heap.Push(ref, &refEvent{at: at, seq: seq})
 		seq++
 	}
 	popBoth := func() {
 		ev := cal.pop()
-		want := heap.Pop(ref).(refEvent)
+		want := heap.Pop(ref).(*refEvent)
 		if ev.at != want.at || ev.seq != want.seq {
 			t.Fatalf("pop mismatch: got (at=%d seq=%d) want (at=%d seq=%d)",
 				ev.at, ev.seq, want.at, want.seq)
@@ -148,7 +227,7 @@ func TestPendingInterleavedCancelStepRun(t *testing.T) {
 }
 
 // TestEventPoolingReusesAndResets verifies fired events are recycled and
-// fully reset on reuse, and that disabling pooling stops recycling.
+// fully reset on reuse, and that recycled events drop their callbacks.
 func TestEventPoolingReusesAndResets(t *testing.T) {
 	e := New(1)
 	first := e.Schedule(Millisecond, func() {})
@@ -180,80 +259,71 @@ func TestEventPoolingReusesAndResets(t *testing.T) {
 		t.Fatalf("freelist len = %d after discard, want 1", len(e.free))
 	}
 
-	e.SetEventPooling(false)
-	e.free = nil
-	a := e.Schedule(Millisecond, func() {})
+	// The freelist must not root captured state: fired and discarded
+	// events alike hold no callback.
+	e.Schedule(Millisecond, func() {})
+	e.Schedule(Millisecond, func() {}).Cancel()
 	e.Run()
-	b := e.Schedule(Millisecond, func() {})
-	if a == b {
-		t.Fatal("pooling disabled but event was reused")
+	for i, ev := range e.free {
+		if ev.fn != nil {
+			t.Fatalf("freelist entry %d still holds its callback", i)
+		}
 	}
 }
 
-// TestPoolingIdenticalTrace runs the same randomized workload with pooling
-// on and off and requires the identical fire sequence.
+// TestPoolingIdenticalTrace runs the same randomized workload on the
+// recycling engine and on the heap-only reference, which never recycles,
+// and requires the identical fire sequence.
 func TestPoolingIdenticalTrace(t *testing.T) {
-	run := func(pool bool) []Time {
-		e := New(99)
-		e.SetEventPooling(pool)
+	run := func(c calendar) []Time {
+		rng := rand.New(rand.NewSource(99))
 		var fired []Time
 		var spawn func(depth int)
 		spawn = func(depth int) {
 			if depth > 6 {
 				return
 			}
-			k := e.Rand().Intn(3)
+			k := rng.Intn(3)
 			for i := 0; i < k; i++ {
-				d := Duration(e.Rand().Intn(1000)) * Microsecond
-				var ev *Event
-				ev = e.Schedule(d, func() {
-					fired = append(fired, e.Now())
-					_ = ev
+				d := Duration(rng.Intn(1000)) * Microsecond
+				cancel := c.schedule(d, func() {
+					fired = append(fired, c.Now())
 					spawn(depth + 1)
 				})
-				if e.Rand().Intn(10) == 0 {
-					ev.Cancel()
+				if rng.Intn(10) == 0 {
+					cancel()
 				}
 			}
 		}
 		for i := 0; i < 20; i++ {
 			spawn(0)
 		}
-		e.Run()
+		c.Run()
 		return fired
 	}
-	on, off := run(true), run(false)
-	if len(on) != len(off) {
-		t.Fatalf("fire counts differ: pooled %d vs unpooled %d", len(on), len(off))
+	pooled, fresh := run(laneEngine{New(99)}), run(&refEngine{})
+	if len(pooled) == 0 || len(pooled) != len(fresh) {
+		t.Fatalf("fire counts differ: pooled %d vs reference %d", len(pooled), len(fresh))
 	}
-	for i := range on {
-		if on[i] != off[i] {
-			t.Fatalf("fire %d: pooled at %v, unpooled at %v", i, on[i], off[i])
+	for i := range pooled {
+		if pooled[i] != fresh[i] {
+			t.Fatalf("fire %d: pooled at %v, reference at %v", i, pooled[i], fresh[i])
 		}
 	}
 }
 
 func BenchmarkEngineChurn(b *testing.B) {
-	for _, pool := range []bool{true, false} {
-		name := "pooled"
-		if !pool {
-			name = "unpooled"
-		}
-		b.Run(name, func(b *testing.B) {
-			e := New(1)
-			e.SetEventPooling(pool)
-			var tick func()
-			n := 0
-			tick = func() {
-				n++
-				if n < b.N {
-					e.Schedule(Microsecond, tick)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
+	e := New(1)
+	var tick func()
+	n := 0
+	tick = func() {
+		n++
+		if n < b.N {
 			e.Schedule(Microsecond, tick)
-			e.Run()
-		})
+		}
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Schedule(Microsecond, tick)
+	e.Run()
 }

@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -49,11 +50,11 @@ func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 
 // Event is a scheduled callback. It may be cancelled before it fires.
 //
-// With event pooling enabled the engine recycles an Event once it has fired
-// (or once a cancelled event is discarded from the calendar), so callers
-// must not retain a handle past the event's own callback: drop the handle
-// when the callback runs, and cancel-before-replace when rescheduling.
-// Every holder in this repository follows that discipline.
+// The engine recycles an Event once it has fired (or once a cancelled
+// event is discarded from the calendar), so callers must not retain a
+// handle past the event's own callback: drop the handle when the callback
+// runs, and cancel-before-replace when rescheduling. Every holder in this
+// repository follows that discipline.
 type Event struct {
 	at       Time
 	seq      uint64
@@ -180,12 +181,19 @@ type Observer interface {
 
 // Engine is a single-threaded discrete-event simulator.
 //
+// Its calendar has two parts: a heap for events of any delay, and FIFO
+// lanes for events of one fixed delay (see Lane). Heap and lane events
+// draw their insertion sequence from one counter, and the engine always
+// fires the least (time, sequence) across both, so the firing order is
+// the one a heap alone would give.
+//
 // Engine is not safe for concurrent use; all model code runs inside event
 // callbacks on the caller's goroutine.
 type Engine struct {
 	now     Time
 	seq     uint64
 	events  eventCalendar
+	lanes   []*Lane
 	rng     *rand.Rand
 	stopped bool
 	fired   uint64
@@ -195,17 +203,15 @@ type Engine struct {
 	cancelledPending int
 
 	// free is the event freelist; fired and discarded events return here
-	// when pooling is on and are reset on reuse by At.
-	free    []*Event
-	pooling bool
+	// and are reset on reuse by At.
+	free []*Event
 
 	obs Observer
 }
 
-// New returns an engine whose random source is seeded with seed. Event
-// pooling is on by default (see SetEventPooling).
+// New returns an engine whose random source is seeded with seed.
 func New(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed)), pooling: true}
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current simulation time.
@@ -218,27 +224,25 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // benchmarking the simulator itself).
 func (e *Engine) EventsFired() uint64 { return e.fired }
 
-// Pending returns the number of runnable events currently scheduled.
-// Cancelled events still occupying calendar slots are excluded.
-func (e *Engine) Pending() int { return e.events.len() - e.cancelledPending }
+// Pending returns the number of runnable events currently scheduled, on
+// the heap and in every lane. Cancelled events still occupying calendar
+// slots are excluded.
+func (e *Engine) Pending() int {
+	n := e.events.len() - e.cancelledPending
+	for _, l := range e.lanes {
+		n += l.n
+	}
+	return n
+}
 
 // SetObserver installs (or, with nil, removes) the engine's execution
-// observer.
+// observer. It sees lane events exactly like heap events.
 func (e *Engine) SetObserver(o Observer) { e.obs = o }
-
-// SetEventPooling enables or disables event recycling. Pooling never
-// changes event order; disabling it only trades speed for fresh
-// allocations (useful when external code retains event handles past their
-// firing, which nothing in this repository does).
-func (e *Engine) SetEventPooling(on bool) { e.pooling = on }
 
 // release returns a finished (fired or discarded-cancelled) event to the
 // freelist. The callback reference is dropped so the freelist never roots
 // captured state.
 func (e *Engine) release(ev *Event) {
-	if !e.pooling {
-		return
-	}
 	ev.fn = nil
 	e.free = append(e.free, ev)
 }
@@ -277,34 +281,141 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	return ev
 }
 
+// Lane is a FIFO calendar for events that all fire one fixed delay after
+// they are scheduled, such as a Xen ring hop. The clock never goes back,
+// so an entry appended at now+delay is never earlier than the entries
+// before it, and its sequence number is larger: the FIFO order already is
+// the (time, sequence) order, and the lane keeps its events sorted with
+// no heap work. The engine compares only each lane's head with the heap
+// top.
+//
+// Lane events cannot be cancelled, and Schedule returns no *Event. The
+// delay is fixed when the lane is created; equal delays share one lane.
+type Lane struct {
+	eng *Engine
+	d   Duration
+	// buf is a ring buffer of n entries from head; its length is zero or
+	// a power of two.
+	buf  []laneEntry
+	head int
+	n    int
+}
+
+type laneEntry struct {
+	at  Time
+	seq uint64
+	fn  func()
+}
+
+// Lane returns the engine's lane for delay d, creating it on first use.
+// Every call with an equal delay returns the same lane. A negative delay
+// is treated as zero.
+func (e *Engine) Lane(d Duration) *Lane {
+	if d < 0 {
+		d = 0
+	}
+	for _, l := range e.lanes {
+		if l.d == d {
+			return l
+		}
+	}
+	l := &Lane{eng: e, d: d}
+	e.lanes = append(e.lanes, l)
+	return l
+}
+
+// Schedule runs fn after the lane's delay. fn fires exactly when it would
+// had it been passed to Engine.Schedule with that delay at this moment.
+func (l *Lane) Schedule(fn func()) {
+	if fn == nil {
+		panic("sim: nil event callback")
+	}
+	if l.n == len(l.buf) {
+		l.grow()
+	}
+	e := l.eng
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = laneEntry{at: e.now.Add(l.d), seq: e.seq, fn: fn}
+	l.n++
+	e.seq++
+}
+
+// grow doubles the ring buffer, unwrapping the entries to start at 0.
+func (l *Lane) grow() {
+	buf := make([]laneEntry, max(16, 2*len(l.buf)))
+	for i := 0; i < l.n; i++ {
+		buf[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
+	}
+	l.buf, l.head = buf, 0
+}
+
 // Stop makes Run return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Step executes the single next event. It reports false when no runnable
-// event remains.
-func (e *Engine) Step() bool {
-	for e.events.len() > 0 {
-		ev := e.events.pop()
-		if ev.canceled {
-			e.cancelledPending--
-			e.release(ev)
+// step fires the earliest runnable event of the heap and the lanes if its
+// time is at most limit, and reports whether it fired one. A cancelled
+// heap top is discarded only once it is the earliest entry of the whole
+// calendar, the moment a heap-only calendar would discard it too.
+func (e *Engine) step(limit Time) bool {
+	var lane *Lane
+	var at Time
+	var seq uint64
+	for _, l := range e.lanes {
+		if l.n == 0 {
 			continue
 		}
-		e.now = ev.at
+		h := &l.buf[l.head]
+		if lane == nil || h.at < at || (h.at == at && h.seq < seq) {
+			lane, at, seq = l, h.at, h.seq
+		}
+	}
+	for len(e.events.a) > 0 {
+		top := e.events.a[0]
+		if lane != nil && (at < top.at || (at == top.at && seq < top.seq)) {
+			break
+		}
+		if top.canceled {
+			e.events.pop()
+			e.cancelledPending--
+			e.release(top)
+			continue
+		}
+		if top.at > limit {
+			return false
+		}
+		e.events.pop()
+		e.now = top.at
 		e.fired++
 		if e.obs != nil {
-			e.obs.EventFired(ev.at)
+			e.obs.EventFired(top.at)
 		}
-		fn := ev.fn
 		// Recycle before firing is unsafe (the callback may reschedule
-		// into this slot while a holder still points here); recycle after
-		// is safe because holders drop their handles inside the callback.
-		fn()
-		e.release(ev)
+		// into this slot while a holder still points here); recycle
+		// after is safe because holders drop their handles inside the
+		// callback.
+		top.fn()
+		e.release(top)
 		return true
 	}
-	return false
+	if lane == nil || at > limit {
+		return false
+	}
+	h := &lane.buf[lane.head]
+	fn := h.fn
+	h.fn = nil // the ring buffer must not root captured state
+	lane.head = (lane.head + 1) & (len(lane.buf) - 1)
+	lane.n--
+	e.now = at
+	e.fired++
+	if e.obs != nil {
+		e.obs.EventFired(at)
+	}
+	fn()
+	return true
 }
+
+// Step executes the single next event. It reports false when no runnable
+// event remains.
+func (e *Engine) Step() bool { return e.step(math.MaxInt64) }
 
 // Run executes events until the calendar is empty or Stop is called.
 func (e *Engine) Run() {
@@ -314,28 +425,15 @@ func (e *Engine) Run() {
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock to
-// t. Events scheduled beyond t remain pending.
+// t. Events scheduled beyond t remain pending. When Stop ends it early the
+// clock stays at the last fired event, because events before t are still
+// pending: the clock never goes back, which the lanes' order relies on.
 func (e *Engine) RunUntil(t Time) {
 	e.stopped = false
 	for !e.stopped {
-		if e.events.len() == 0 {
-			break
+		if !e.step(t) {
+			e.now = max(e.now, t)
+			return
 		}
-		// Peek cheapest event; lazily discard cancelled entries so the
-		// cutoff compares against a runnable event.
-		next := e.events.a[0]
-		if next.canceled {
-			e.events.pop()
-			e.cancelledPending--
-			e.release(next)
-			continue
-		}
-		if next.at > t {
-			break
-		}
-		e.Step()
-	}
-	if e.now < t {
-		e.now = t
 	}
 }

@@ -117,6 +117,23 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestRunUntilStopKeepsClock: a RunUntil ended by Stop leaves the clock at
+// the last fired event, since earlier events are still pending; jumping
+// to the cut-off would make the clock go back when they fire.
+func TestRunUntilStopKeepsClock(t *testing.T) {
+	e := New(1)
+	e.Schedule(10, func() { e.Stop() })
+	e.Schedule(20, func() {})
+	e.RunUntil(100)
+	if e.Now() != 10 {
+		t.Fatalf("clock = %v after stopped RunUntil, want 10", e.Now())
+	}
+	e.RunUntil(100)
+	if e.Now() != 100 || e.Pending() != 0 {
+		t.Fatalf("clock = %v pending = %d, want 100 and 0", e.Now(), e.Pending())
+	}
+}
+
 func TestRunUntilSkipsCancelled(t *testing.T) {
 	e := New(1)
 	ev := e.Schedule(10, func() { t.Error("cancelled fired") })

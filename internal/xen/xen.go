@@ -86,6 +86,10 @@ type Host struct {
 	domains []*Domain
 	pair    iosched.Pair
 
+	// ring carries both hops of every guest request across the
+	// blkfront/blkback ring; they all take RingLatency.
+	ring *sim.Lane
+
 	// journeys, when non-nil, threads request-journey tracing through
 	// both queue levels (see journey.go).
 	journeys *journeyTracker
@@ -105,7 +109,7 @@ func NewHost(eng *sim.Engine, id int, numVMs int, cfg HostConfig) *Host {
 	if numVMs <= 0 {
 		panic("xen: host needs at least one VM")
 	}
-	h := &Host{Eng: eng, ID: id, cfg: cfg, pair: iosched.DefaultPair}
+	h := &Host{Eng: eng, ID: id, cfg: cfg, pair: iosched.DefaultPair, ring: eng.Lane(cfg.RingLatency)}
 	h.dom0Sched = cfg.Sched
 	h.dom0Sched.Counters = obs.NewSchedCounters(cfg.Obs.Metrics, "sched.dom0")
 	h.dom0Sched.Decisions = obs.NewDecisionRecorder(cfg.Obs, cfg.Obs.HostPID(id), obs.TIDDom0, "dom0")
@@ -286,8 +290,7 @@ func (o *ringOp) forward() {
 // hostDone fires when Dom0 completes the host-side request; the completion
 // crosses the ring back to the guest.
 func (o *ringOp) hostDone(*block.Request) {
-	d := o.rg.d
-	d.host.Eng.Schedule(d.host.cfg.RingLatency, o.backFn)
+	o.rg.d.host.ring.Schedule(o.backFn)
 }
 
 // back completes the guest request. The op is recycled before the callback
@@ -368,5 +371,5 @@ func (h *Host) RequestPool() *block.Pool { return h.pool }
 // the ring (see ringOp for the forward/complete hops).
 func (rg *ring) Service(r *block.Request, done func(*block.Request)) {
 	o := rg.getOp(r, done)
-	rg.d.host.Eng.Schedule(rg.d.host.cfg.RingLatency, o.fireFn)
+	rg.d.host.ring.Schedule(o.fireFn)
 }
