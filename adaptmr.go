@@ -140,20 +140,26 @@ func buildOptions(opts []Option) options {
 	return o
 }
 
-// apply copies the observation options onto a cluster config.
-func (o options) apply(cfg ClusterConfig) ClusterConfig {
+// sink overlays the observation options onto s.
+func (o options) sink(s obs.Sink) obs.Sink {
 	if o.tracer != nil {
-		cfg.Obs.Trace = o.tracer
+		s.Trace = o.tracer
 	}
 	if o.metrics != nil {
-		cfg.Obs.Metrics = o.metrics
+		s.Metrics = o.metrics
 	}
 	if o.journeys != nil {
-		cfg.Obs.Journeys = o.journeys
+		s.Journeys = o.journeys
 	}
 	if o.decisions != nil {
-		cfg.Obs.Decisions = o.decisions
+		s.Decisions = o.decisions
 	}
+	return s
+}
+
+// apply copies the observation options onto a cluster config.
+func (o options) apply(cfg ClusterConfig) ClusterConfig {
+	cfg.Obs = o.sink(cfg.Obs)
 	if o.check != nil {
 		cfg.Check = o.check
 	}
@@ -197,8 +203,8 @@ func WithJourney() Option {
 // continuation, anticipation outcomes, CFQ slice lifecycle) plus
 // queue-level merges and switch drains — tallied per queue level onto
 // JobResult.Decisions (and RunResult.Decisions for tuner entry points).
-// The hook is nil when this option is absent, so the disabled path stays
-// allocation-free.
+// Without this option, WithMetrics or WithTracer the decision hook is
+// nil, so the disabled path stays allocation-free.
 func WithDecisionLog() Option {
 	return func(o *options) { o.decisions = obs.NewDecisionLog() }
 }

@@ -62,6 +62,17 @@ func ParseFleetScenario(data []byte) (FleetScenario, error) { return fleet.Parse
 // Poisson arrivals over all three paper benchmarks.
 func SmokeFleetScenario() FleetScenario { return fleet.SmokeScenario() }
 
+// fleetOptions maps the options onto a fleet run.
+func (o options) fleetOptions() fleet.Options {
+	return fleet.Options{
+		Parallelism: o.parallelism,
+		Obs:         o.sink(obs.Sink{}),
+		Check:       o.check,
+		Perf:        o.perf,
+		Context:     o.ctx,
+	}
+}
+
 // RunFleet executes a fleet scenario: per-cell JobTracker admission and
 // slot scheduling over concurrent jobs, with cells simulated in parallel
 // (WithParallelism; <= 1 runs serially) under a conservative time-window
@@ -71,26 +82,7 @@ func SmokeFleetScenario() FleetScenario { return fleet.SmokeScenario() }
 // cell; WithPerfStats fills FleetResult.WallS/EventsPerSec.
 func RunFleet(s FleetScenario, opts ...Option) (*FleetResult, error) {
 	o := buildOptions(opts)
-	var sink obs.Sink
-	if o.tracer != nil {
-		sink.Trace = o.tracer
-	}
-	if o.metrics != nil {
-		sink.Metrics = o.metrics
-	}
-	if o.journeys != nil {
-		sink.Journeys = o.journeys
-	}
-	if o.decisions != nil {
-		sink.Decisions = o.decisions
-	}
-	res, err := fleet.Run(s, fleet.Options{
-		Parallelism: o.parallelism,
-		Obs:         sink,
-		Check:       o.check,
-		Perf:        o.perf,
-		Context:     o.ctx,
-	})
+	res, err := fleet.Run(s, o.fleetOptions())
 	if err != nil {
 		return nil, fmt.Errorf("adaptmr: %w", err)
 	}
@@ -135,38 +127,20 @@ func RunFleetOnline(s FleetScenario, opts ...Option) (*FleetResult, *FleetOnline
 	if o.online != nil {
 		pol = *o.online
 	}
-	var sink obs.Sink
-	if o.tracer != nil {
-		sink.Trace = o.tracer
-	}
-	if o.metrics != nil {
-		sink.Metrics = o.metrics
-	}
-	if o.journeys != nil {
-		sink.Journeys = o.journeys
-	}
-	if o.decisions != nil {
-		sink.Decisions = o.decisions
-	}
 	type cellCtl struct {
 		ctrl  *control.Controller
 		start string
 	}
 	var ctls []cellCtl // cells are constructed serially, in index order
-	res, err := fleet.Run(s, fleet.Options{
-		Parallelism: o.parallelism,
-		Obs:         sink,
-		Check:       o.check,
-		Perf:        o.perf,
-		Context:     o.ctx,
-		OnCell: func(cell int, cl *cluster.Cluster) {
-			smp := analyze.NewSampler()
-			smp.AttachCluster(cl)
-			ctrl := control.New(pol)
-			ctrl.Attach(cl, smp)
-			ctls = append(ctls, cellCtl{ctrl: ctrl, start: cl.Pair().Code()})
-		},
-	})
+	fo := o.fleetOptions()
+	fo.OnCell = func(cell int, cl *cluster.Cluster) {
+		smp := analyze.NewSampler()
+		smp.AttachCluster(cl)
+		ctrl := control.New(pol)
+		ctrl.Attach(cl, smp)
+		ctls = append(ctls, cellCtl{ctrl: ctrl, start: cl.Pair().Code()})
+	}
+	res, err := fleet.Run(s, fo)
 	if err != nil {
 		return nil, nil, fmt.Errorf("adaptmr: %w", err)
 	}

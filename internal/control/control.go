@@ -253,15 +253,7 @@ type Controller struct {
 	// (inside the simulation event that produced it). Set before Attach.
 	OnDecision func(Decision)
 
-	// Housekeeping is the number of co-resident self-re-arming watcher
-	// events (e.g. a streaming sample pump) to discount when the tick
-	// decides whether the simulation is still live. Without it, two
-	// watchers that each re-arm while the calendar is non-empty keep each
-	// other alive forever after the job drains. Set before Attach.
-	Housekeeping int
-
-	stopped bool
-	gates   []*gate
+	gates []*gate
 
 	windows   int
 	switches  int
@@ -297,9 +289,10 @@ func (c *Controller) Policy() Policy { return c.pol }
 // attached to the cluster (or be attached before traffic starts). Under
 // ScopeHost smp is unused: each host is sampled through its own private
 // sampler and switched on its own, all hosts evaluated in host order
-// inside the one tick. The tick re-arms only while the calendar holds
-// other events, so a finished simulation is never kept alive; the
-// returned detach stops the controller early.
+// inside the one tick. The tick is a sim.Engine.Every watcher, so
+// neither it nor a co-resident watcher such as a sample pump keeps a
+// finished simulation alive; the returned detach stops the controller
+// early.
 func (c *Controller) Attach(cl *cluster.Cluster, smp *analyze.Sampler) (detach func()) {
 	if c.gates != nil {
 		panic("control: controller attached twice (build one per run)")
@@ -323,20 +316,11 @@ func (c *Controller) Attach(cl *cluster.Cluster, smp *analyze.Sampler) (detach f
 		// controller can react to the first stable regime of the run.
 		g.lastSwitch = now.Add(-c.pol.MinDwell)
 	}
-	var tick func()
-	tick = func() {
-		if c.stopped {
-			return
-		}
+	return cl.Eng.Every(c.pol.Window, c.pol.Window, func() {
 		for _, g := range c.gates {
 			c.evaluate(g, cl.Eng.Now())
 		}
-		if !c.stopped && cl.Eng.Pending() > c.Housekeeping {
-			cl.Eng.Schedule(c.pol.Window, tick)
-		}
-	}
-	cl.Eng.Schedule(c.pol.Window, tick)
-	return func() { c.stopped = true }
+	})
 }
 
 // evaluate classifies g's window that just closed and runs its gates.

@@ -41,20 +41,7 @@ type AnticipatorySched struct {
 	// completion and its next read arrival).
 	misses       map[block.StreamID]int
 	lastReadDone map[block.StreamID]sim.Time
-
-	stats ASStats
 }
-
-// ASStats counts anticipation outcomes (diagnostics and tests).
-type ASStats struct {
-	Armed    int64 // anticipation windows opened
-	Hits     int64 // windows satisfied by a close request
-	Timeouts int64 // windows that expired
-	Distrust int64 // completions where the stream was not trusted
-}
-
-// Stats returns the anticipation counters.
-func (s *AnticipatorySched) Stats() ASStats { return s.stats }
 
 // NewAnticipatory returns an AS elevator with the given tunables.
 func NewAnticipatory(p Params) *AnticipatorySched {
@@ -121,8 +108,6 @@ func (s *AnticipatorySched) Dispatch(now sim.Time) (*block.Request, sim.Time) {
 			// The window expired with nothing arriving at all.
 			s.anticipating = false
 			s.misses[s.anticStream]++
-			s.stats.Timeouts++
-			s.p.Counters.AnticTimeout()
 			s.p.Decisions.RecordStream(now, obs.DecAnticTimeout, int64(s.anticStream))
 		}
 		return nil, 0
@@ -133,8 +118,6 @@ func (s *AnticipatorySched) Dispatch(now sim.Time) (*block.Request, sim.Time) {
 			// Timed out: the stream broke its pattern.
 			s.anticipating = false
 			s.misses[s.anticStream]++
-			s.stats.Timeouts++
-			s.p.Counters.AnticTimeout()
 			s.p.Decisions.RecordStream(now, obs.DecAnticTimeout, int64(s.anticStream))
 		} else {
 			// Serve the anticipated stream's reads ahead of everything —
@@ -144,8 +127,6 @@ func (s *AnticipatorySched) Dispatch(now sim.Time) (*block.Request, sim.Time) {
 			if r := s.findCloseStreamRead(s.anticStream); r != nil {
 				s.anticipating = false
 				s.misses[s.anticStream] = 0
-				s.stats.Hits++
-				s.p.Counters.AnticHit()
 				s.p.Decisions.RecordStream(now, obs.DecAnticHit, int64(s.anticStream))
 				if !s.inBatch || s.batchOp != block.Read {
 					s.inBatch = true
@@ -242,11 +223,8 @@ func (s *AnticipatorySched) Completed(r *block.Request, now sim.Time) {
 	}
 	s.lastReadDone[r.Stream] = now
 	if s.misses[r.Stream] >= s.p.AnticMaxMisses {
-		s.stats.Distrust++
 		return
 	}
-	s.stats.Armed++
-	s.p.Counters.AnticArmed()
 	s.p.Decisions.RecordStream(now, obs.DecAnticArm, int64(r.Stream))
 	s.anticipating = true
 	s.anticStream = r.Stream

@@ -194,6 +194,37 @@ func TestDecisionsDisabledZeroAllocDeep(t *testing.T) {
 	}
 }
 
+// TestDecisionsMetricsOnlyZeroAlloc pins the steady-state cycle of all four
+// elevators at zero allocations when the decision recorder feeds only the
+// sched.* metrics (no decision log, no tracer) — the recorder every run
+// with a metrics registry carries — and checks the counters move.
+func TestDecisionsMetricsOnlyZeroAlloc(t *testing.T) {
+	for _, name := range Names {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			m := obs.NewRegistry()
+			p := DefaultParams()
+			p.Decisions = obs.NewDecisionRecorder(obs.Sink{Metrics: m}, 1, obs.TIDDom0, "dom0")
+			e := MustNew(name, p)
+			r := block.NewRequest(block.Read, 4096, 8, true, 1)
+			now := sim.Time(0)
+			for i := 0; i < 64; i++ {
+				now = benchCycle(e, r, now)
+			}
+			if a := testing.AllocsPerRun(1000, func() { now = benchCycle(e, r, now) }); a != 0 {
+				t.Fatalf("%s metrics-only cycle allocates %v allocs/op, want 0", name, a)
+			}
+			var counted int64
+			for _, n := range m.Snapshot().Counters {
+				counted += n
+			}
+			if want := name == Anticipatory || name == CFQ; (counted > 0) != want {
+				t.Fatalf("%s counted %d sched decisions (want nonzero: %v)", name, counted, want)
+			}
+		})
+	}
+}
+
 // TestNilRecorderMethodsZeroAlloc pins the recorder call sites themselves:
 // invoking every DecisionRecorder method through a nil receiver — exactly
 // what an un-instrumented elevator does on every decision — must not

@@ -57,8 +57,9 @@ func FromShortCode(c string) (string, error) {
 	return "", fmt.Errorf("iosched: unknown scheduler code %q", c)
 }
 
-// Params carries tunables shared by the elevators. Zero value is not
-// usable; use DefaultParams.
+// Params carries tunables shared by the elevators, plus the decision
+// recorder they report through (Decisions). Zero value is not usable; use
+// DefaultParams.
 type Params struct {
 	// MaxSectors caps a merged request extent (Linux max_sectors_kb=512).
 	MaxSectors int64
@@ -98,17 +99,13 @@ type Params struct {
 	FifoExpireSync  sim.Duration
 	FifoExpireAsync sim.Duration
 
-	// Counters, when non-nil, receives scheduler-internal decision counts
-	// (anticipation windows, CFQ slices/idles). Shared across elevator
-	// switches so a level's counts accumulate over the whole run; a nil
-	// value discards updates.
-	Counters *obs.SchedCounters
-
-	// Decisions, when non-nil, receives structured decision provenance
-	// (why a dispatch happened: batch continuation vs deadline expiry,
-	// anticipation outcomes, CFQ slice lifecycle). Shared across elevator
-	// switches like Counters; a nil recorder discards updates with no
-	// allocation (the disabled hot path is pinned at 0 allocs/op).
+	// Decisions, when non-nil, is the one channel every elevator reports
+	// its decisions through (why a dispatch happened: batch continuation
+	// vs deadline expiry, anticipation outcomes, CFQ slice lifecycle). The
+	// recorder feeds the decision log, the trace and the sched.* metrics.
+	// It is shared across elevator switches, so a level's counts
+	// accumulate over the whole run; a nil recorder discards updates with
+	// no allocation (the disabled hot path is pinned at 0 allocs/op).
 	Decisions *obs.DecisionRecorder
 }
 

@@ -133,34 +133,59 @@ func (l *DecisionLog) Summary() *DecisionSummary {
 	return s
 }
 
-// DecisionRecorder is the decision-provenance hook handed to elevators
-// (via iosched.Params.Decisions) and queue-level instrumentation. It
-// tallies into a DecisionLog and, when a tracer is attached, emits an
-// instant event (cat "decision") on the recording thread.
+// schedCounterNames names the sched.<level>.* counter of each decision
+// kind that has one; the other kinds are tallied by the log only.
+var schedCounterNames = [numDecisionKinds]string{
+	DecAnticArm:     "antic_armed",
+	DecAnticHit:     "antic_hits",
+	DecAnticTimeout: "antic_timeouts",
+	DecCFQSlice:     "cfq_slices",
+	DecCFQIdle:      "cfq_idles",
+}
+
+// DecisionRecorder is the one channel through which elevators (via
+// iosched.Params.Decisions) and queue-level instrumentation report a
+// decision. It tallies into a DecisionLog, increments the level's
+// sched.* counter when a metrics registry is attached, and, when a
+// tracer is attached, emits an instant event (cat "decision") on the
+// recording thread.
 //
 // A nil *DecisionRecorder discards everything; all methods take scalar
 // arguments only, so the disabled hot path performs a nil check and
 // allocates nothing (pinned at 0 allocs/op in CI).
 type DecisionRecorder struct {
-	log   *DecisionLog
-	tr    *Tracer
-	pid   int64
-	tid   int64
-	level uint8
+	log *DecisionLog
+	tr  *Tracer
+	// counters holds the sched.* counter of each kind that has one (nil
+	// for the rest, and for all kinds without a registry).
+	counters [numDecisionKinds]*Counter
+	pid      int64
+	tid      int64
+	level    uint8
 }
 
 // NewDecisionRecorder binds a recorder for one queue level ("vm" or
-// "dom0") at the given trace coordinates. Returns nil — the disabled
-// path — when the sink has neither a decision log nor a tracer.
+// "dom0") at the given trace coordinates. With a metrics registry it
+// registers the level's sched.<level>.* counters up front, so they appear
+// in snapshots even at zero. Returns nil — the disabled path — when the
+// sink has no registry, no decision log and no tracer.
 func NewDecisionRecorder(s Sink, pid, tid int64, level string) *DecisionRecorder {
-	if s.Decisions == nil && s.Trace == nil {
+	if s.Metrics == nil && s.Decisions == nil && s.Trace == nil {
 		return nil
 	}
 	lvl := uint8(levelVM)
 	if level == "dom0" {
 		lvl = levelDom0
 	}
-	return &DecisionRecorder{log: s.Decisions, tr: s.Trace, pid: pid, tid: tid, level: lvl}
+	d := &DecisionRecorder{log: s.Decisions, tr: s.Trace, pid: pid, tid: tid, level: lvl}
+	if s.Metrics != nil {
+		for k, name := range schedCounterNames {
+			if name != "" {
+				d.counters[k] = s.Metrics.Counter("sched." + level + "." + name)
+			}
+		}
+	}
+	return d
 }
 
 // Record tallies one decision and emits its trace instant.
@@ -171,6 +196,7 @@ func (d *DecisionRecorder) Record(at sim.Time, k DecisionKind) {
 	if d.log != nil {
 		d.log.counts[d.level][k]++
 	}
+	d.counters[k].Inc()
 	if d.tr != nil {
 		d.tr.Instant(d.pid, d.tid, "decision", decisionNames[k], at)
 	}
@@ -186,6 +212,7 @@ func (d *DecisionRecorder) RecordStream(at sim.Time, k DecisionKind, stream int6
 	if d.log != nil {
 		d.log.counts[d.level][k]++
 	}
+	d.counters[k].Inc()
 	if d.tr != nil {
 		d.tr.Instant(d.pid, d.tid, "decision", decisionNames[k], at, I("stream", stream))
 	}

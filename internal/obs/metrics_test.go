@@ -115,12 +115,9 @@ func TestNilInstruments(t *testing.T) {
 		t.Fatal("nil registry snapshot")
 	}
 	r.Absorb(&Snapshot{Counters: map[string]int64{"x": 1}}) // must not panic
-	var sc *SchedCounters
-	sc.AnticArmed()
-	sc.AnticHit()
-	sc.AnticTimeout()
-	sc.CFQSlice()
-	sc.CFQIdle()
+	var rec *DecisionRecorder
+	rec.Record(0, DecCFQSlice)
+	rec.RecordStream(0, DecAnticArm, 1)
 }
 
 // TestRegistryIdempotentLookup verifies lookup-or-create returns the same
@@ -244,27 +241,57 @@ func TestSnapshotExportDeterministic(t *testing.T) {
 	}
 }
 
-func TestSchedCounters(t *testing.T) {
+// TestDecisionRecorderSchedMetrics pins the sched.* counters the decision
+// recorder feeds: a metrics-only sink yields a recorder that registers all
+// ten names at zero, each decision kind bumps exactly its mapped counter
+// (and the other kinds none), and an empty sink yields the nil recorder.
+func TestDecisionRecorderSchedMetrics(t *testing.T) {
 	r := NewRegistry()
-	sc := NewSchedCounters(r, "sched.dom0")
-	sc.AnticArmed()
-	sc.AnticHit()
-	sc.AnticTimeout()
-	sc.CFQSlice()
-	sc.CFQSlice()
-	sc.CFQIdle()
-	for name, want := range map[string]int64{
-		"sched.dom0.antic_armed":    1,
-		"sched.dom0.antic_hits":     1,
-		"sched.dom0.antic_timeouts": 1,
-		"sched.dom0.cfq_slices":     2,
-		"sched.dom0.cfq_idles":      1,
-	} {
-		if got := r.Counter(name).Value(); got != want {
-			t.Errorf("%s = %d, want %d", name, got, want)
+	recs := map[string]*DecisionRecorder{
+		"vm":   NewDecisionRecorder(Sink{Metrics: r}, 1, VMTID(0), "vm"),
+		"dom0": NewDecisionRecorder(Sink{Metrics: r}, 1, TIDDom0, "dom0"),
+	}
+	mapped := map[DecisionKind]string{
+		DecAnticArm:     "antic_armed",
+		DecAnticHit:     "antic_hits",
+		DecAnticTimeout: "antic_timeouts",
+		DecCFQSlice:     "cfq_slices",
+		DecCFQIdle:      "cfq_idles",
+	}
+	want := map[string]int64{}
+	for level, rec := range recs {
+		if rec == nil {
+			t.Fatalf("metrics-only sink gave a nil %s recorder", level)
+		}
+		for _, name := range mapped {
+			want["sched."+level+"."+name] = 0
 		}
 	}
-	if NewSchedCounters(nil, "x") != nil {
-		t.Fatal("SchedCounters over nil registry should be nil")
+	check := func(stage string) {
+		t.Helper()
+		snap := r.Snapshot()
+		if len(snap.Counters) != len(want) {
+			t.Fatalf("%s: counters %v, want exactly %v", stage, snap.Counters, want)
+		}
+		for name, n := range want {
+			got, ok := snap.Counters[name]
+			if !ok || got != n {
+				t.Fatalf("%s: %s = %d (registered %v), want %d", stage, name, got, ok, n)
+			}
+		}
+	}
+	check("fresh")
+	for k := DecisionKind(0); int(k) < numDecisionKinds; k++ {
+		for level, rec := range recs {
+			rec.Record(0, k)
+			rec.RecordStream(0, k, 7)
+			if name, ok := mapped[k]; ok {
+				want["sched."+level+"."+name] += 2
+			}
+			check(level + " " + k.String())
+		}
+	}
+	if NewDecisionRecorder(Sink{}, 1, TIDDom0, "dom0") != nil {
+		t.Fatal("empty sink should give the nil recorder")
 	}
 }

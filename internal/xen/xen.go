@@ -77,11 +77,10 @@ type Host struct {
 	disk *disk.Disk
 	dom0 *block.Queue
 
-	// Per-level scheduler params: identical tunables but distinct shared
-	// counter sets, so Dom0 and guest elevator decisions aggregate
-	// separately and survive elevator switches.
-	dom0Sched  iosched.Params
-	guestSched iosched.Params
+	// dom0Sched is cfg.Sched with the Dom0 decision recorder, which
+	// survives Dom0 elevator switches. Each domain carries its own copy
+	// with a vm-level recorder.
+	dom0Sched iosched.Params
 
 	domains []*Domain
 	pair    iosched.Pair
@@ -111,10 +110,7 @@ func NewHost(eng *sim.Engine, id int, numVMs int, cfg HostConfig) *Host {
 	}
 	h := &Host{Eng: eng, ID: id, cfg: cfg, pair: iosched.DefaultPair, ring: eng.Lane(cfg.RingLatency)}
 	h.dom0Sched = cfg.Sched
-	h.dom0Sched.Counters = obs.NewSchedCounters(cfg.Obs.Metrics, "sched.dom0")
 	h.dom0Sched.Decisions = obs.NewDecisionRecorder(cfg.Obs, cfg.Obs.HostPID(id), obs.TIDDom0, "dom0")
-	h.guestSched = cfg.Sched
-	h.guestSched.Counters = obs.NewSchedCounters(cfg.Obs.Metrics, "sched.vm")
 	h.disk = disk.New(eng, cfg.Disk)
 	h.dom0 = block.NewQueue(eng, iosched.MustNew(h.pair.VMM, h.dom0Sched), h.disk, cfg.Dom0Depth)
 	if cfg.Check != nil {
@@ -221,8 +217,9 @@ type Domain struct {
 	extentLen   int64
 
 	// params is this domain's guest scheduler parameter set: the host's
-	// shared tunables and counters, plus a per-domain decision recorder
-	// (each VM elevator records on its own trace thread).
+	// tunables plus a per-domain decision recorder (each VM elevator
+	// records on its own trace thread; all of a level's recorders feed
+	// the same sched.vm.* counters).
 	params iosched.Params
 
 	q    *block.Queue
@@ -311,7 +308,7 @@ func newDomain(h *Host, index int) *Domain {
 	if d.extentStart+d.extentLen > h.cfg.Disk.Sectors {
 		panic("xen: VM extents exceed disk capacity")
 	}
-	d.params = h.guestSched
+	d.params = h.cfg.Sched
 	d.params.Decisions = obs.NewDecisionRecorder(h.cfg.Obs, h.cfg.Obs.HostPID(h.ID), obs.VMTID(index), "vm")
 	d.q = block.NewQueue(h.Eng, iosched.MustNew(h.pair.VM, d.params), &ring{d: d}, h.cfg.GuestDepth)
 	if h.cfg.Check != nil {

@@ -178,3 +178,55 @@ func TestTunerPerCandidateMetrics(t *testing.T) {
 		t.Errorf("expected plan-labelled process groups, got %v", labels)
 	}
 }
+
+// TestSchedMetricsMatchDecisionLog pins that the sched.* counters are the
+// decision recorder's tallies: under every AS/CFQ pair each
+// sched.<level>.<name> equals the decision log's count of its kind, and
+// the ac counts are pinned.
+func TestSchedMetricsMatchDecisionLog(t *testing.T) {
+	kinds := map[string]string{
+		"antic_armed":    "antic.arm",
+		"antic_hits":     "antic.hit",
+		"antic_timeouts": "antic.timeout",
+		"cfq_slices":     "cfq.slice",
+		"cfq_idles":      "cfq.idle",
+	}
+	job := adaptmr.SortBenchmark(64 << 20).Job
+	for _, code := range []string{"ac", "ca", "aa", "cc"} {
+		m := adaptmr.NewMetrics()
+		res, err := adaptmr.Run(quickCluster(), job, adaptmr.MustParsePair(code),
+			adaptmr.WithMetrics(m), adaptmr.WithDecisionLog())
+		if err != nil {
+			t.Fatalf("%s: Run: %v", code, err)
+		}
+		if res.Metrics == nil || res.Decisions == nil {
+			t.Fatalf("%s: missing metrics or decision summary", code)
+		}
+		for level, tally := range map[string]map[string]int64{"vm": res.Decisions.VM, "dom0": res.Decisions.Dom0} {
+			for name, kind := range kinds {
+				metric := "sched." + level + "." + name
+				got, ok := res.Metrics.Counters[metric]
+				if !ok {
+					t.Errorf("%s: %s not registered", code, metric)
+				}
+				if got != tally[kind] {
+					t.Errorf("%s: %s = %d, decision log %s = %d", code, metric, got, kind, tally[kind])
+				}
+			}
+		}
+		if code != "ac" {
+			continue
+		}
+		for metric, want := range map[string]int64{
+			"sched.dom0.antic_armed":    514,
+			"sched.dom0.antic_hits":     450,
+			"sched.dom0.antic_timeouts": 64,
+			"sched.vm.cfq_slices":       2043,
+			"sched.vm.cfq_idles":        2074,
+		} {
+			if got := res.Metrics.Counters[metric]; got != want {
+				t.Errorf("ac: %s = %d, want %d", metric, got, want)
+			}
+		}
+	}
+}
